@@ -64,7 +64,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         sam_path = Path(tmp) / "mapped.sam"
-        write_sam(sam_path, sam_rows, mapper, reference_name="synthetic_chr")
+        write_sam(sam_path, sam_rows, len(mapper.genome),
+                  reference_name="synthetic_chr")
         parsed = parse_sam_positions(sam_path)
         mapped = sum(1 for _n, _p, ok in parsed if ok)
         print(f"SAM written: {len(parsed)} records, {mapped} mapped")

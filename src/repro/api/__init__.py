@@ -93,6 +93,7 @@ def serve(
     except BaseException:
         core.stop()
         raise
+    server.serve_in_thread()
     return ServiceHandle(server, core)
 
 

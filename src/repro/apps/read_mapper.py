@@ -9,24 +9,13 @@ strands), and hits below a score threshold are rejected.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.stage import Stage
 from repro.data.genome import reverse_complement
+from repro.data.sam import MappedRead
 from repro.kernels import get_kernel
 from repro.systolic import align
-
-
-@dataclass(frozen=True)
-class MappedRead:
-    """One mapping decision."""
-
-    position: int          # 0-based genome offset of the alignment window start
-    strand: str            # '+' or '-'
-    score: float
-    cigar: str
-    window_offset: int     # alignment start within the window
 
 
 class ReadMapper:

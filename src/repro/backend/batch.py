@@ -1,53 +1,68 @@
-"""Batched wavefront execution: align whole batches in one compiled sweep.
+"""The wavefront driver: align whole batches in one compiled sweep.
 
-``compiled_align_batch`` packs B independent alignments into padded 3D
-working arrays ``(n_layers, B, Q+1, R+1)`` and sweeps all B DP matrices'
+``compiled_align_batch`` packs B independent alignments into 3D working
+arrays ``(n_layers, B, Q+1, R+1)`` and sweeps all B DP matrices'
 anti-diagonals in lockstep: each diagonal of each layer is a single
 NumPy expression over a ``(B, wavefront)`` operand block, so the
-per-diagonal Python/NumPy dispatch overhead that dominates single-pair
-``compiled_align`` at service-sized lengths is amortized over the whole
-batch.  The generated ``_pe`` from :mod:`repro.backend.compiler` is
-purely elementwise (``np.where``/``maximum``/arithmetic/table gathers),
-so the batch axis folds in by reshaping operands — no compiler change.
+per-diagonal Python/NumPy dispatch overhead that dominates at
+service-sized lengths is amortized over the whole batch.  The generated
+``_pe`` from :mod:`repro.backend.compiler` is purely elementwise
+(``np.where``/``maximum``/arithmetic/table gathers), so the batch axis
+folds in by reshaping operands — no compiler change.
 
 This is the inter-sequence parallelism of the DP-HLS PE-array packing,
 applied one level up: instead of many PEs per pair, many pairs per
-sweep.
+sweep.  It is also the *only* sweep: ``compiled_align`` is a batch of
+one through the same loop.
+
+Why one working matrix per pair suffices: cell (i, j) on diagonal
+``d = i + j`` depends only on diagonals ``d-1`` (up/left) and ``d-2``
+(diag), so a matrix written in ``d`` order always reads finished
+values.  Banding is applied by *storage* masking — out-of-band cells,
+and init row/column cells beyond the band, hold the sentinel, which is
+exactly what the engine's boundary muxes and the oracle's
+``neighbour()`` return for out-of-band reads — and quantization uses
+the score type's ``quantize_array``, bit-identical to the scalar
+``quantize`` applied per cell.
 
 Bit-identity contract (enforced by ``repro.verify_fuzz``'s batched leg
 and ``tests/test_backend_batch.py``): for every pair, the returned
 :class:`~repro.core.result.AlignmentResult` — score *and its Python
 type*, start/end cells, traceback moves, :class:`CycleReport`, collected
-matrix — equals running :func:`repro.backend.wavefront.compiled_align`
-on that pair alone.  The argument is:
+matrix — equals :func:`repro.systolic.engine.align` on that pair alone,
+whatever else shares its batch.  The argument is:
 
 * pairs are bucketed by ``(params identity, padded lengths)``; lengths
-  are padded up to :data:`PAD_QUANTUM` multiples so mixed-length batches
-  share buckets with bounded waste (recorded via ``engine.batch.*``
-  counters and the ``engine.batch.waste_frac`` gauge);
-* within a bucket, the padded band range at diagonal ``d`` intersected
-  with the per-pair validity mask ``(i <= len_q) & (j <= len_r)`` is
-  *exactly* the pair's own active set: padding only relaxes the
-  ``i >= d - n_cols`` / ``i <= n_rows`` limits, and the mask restores
-  them, while the banding clip depends on ``d`` alone;
+  are rounded up to :data:`PAD_QUANTUM` multiples *for grouping only*,
+  so mixed-length batches share buckets, while each bucket's arrays are
+  sized to its members' largest actual lengths (waste recorded via the
+  ``engine.batch.*`` counters and the ``engine.batch.waste_frac`` gauge);
+* in a *full* bucket — every lane exactly as long as the arrays, the
+  batch-of-one and uniform-length serving shapes — the band range at
+  diagonal ``d`` is each pair's own active set and results are written
+  unmasked;
+* in a *ragged* bucket that range intersected with the per-pair validity
+  mask ``(i <= len_q) & (j <= len_r)`` is *exactly* the pair's own
+  active set: the larger arrays only relax the ``i >= d - n_cols`` /
+  ``i <= n_rows`` limits, and the mask restores them, while the banding
+  clip depends on ``d`` alone;
 * valid cells' neighbour reads never leave the pair's own region
   (indices only decrease), and every cell there holds the per-pair
   value: init row/column are written per pair, out-of-band cells are
-  sentinel-pinned exactly as in the single-pair path, and masked writes
-  never touch cells outside a pair's active set;
+  sentinel-pinned, and masked writes never touch cells outside a pair's
+  active set;
 * lanes that are masked out on a diagonal (shorter pairs retiring
-  early, padding) still flow through ``_pe`` — on zeroed garbage that
-  is discarded by the masked write, so quantization never sees values
-  a real pair could not produce;
+  early) still flow through ``_pe`` — on zeroed garbage that is
+  discarded by the masked write, so quantization never sees values a
+  real pair could not produce;
 * the start-cell argmax runs on each pair's own ``(len_q+1, len_r+1)``
   slice, where row-major order is the same (i, j)-lexicographic order
-  as the single-pair matrix, preserving the smallest-(i, j) tie break;
+  as a single-pair matrix, preserving the smallest-(i, j) tie break;
 * traceback walks each pair's own pointer slice; the cycle model is
   closed-form per pair (``n_pe``/``ii`` may vary across the batch).
 
-When does single-pair still win?  A batch of one pays the bucketing and
-masking overhead for no amortization, and wildly heterogeneous lengths
-fragment into single-pair buckets — see ``docs/backends.md``.
+Which branch runs is read off the bucket's own lengths, never set by a
+caller — see ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -74,11 +89,11 @@ from repro.systolic.engine import (
 )
 from repro.systolic.traceback import walk_traceback
 
-#: Pair lengths are padded up to the next multiple of this before
-#: bucketing, so a mixed-length batch lands in few buckets.  8 keeps the
-#: worst-case padding waste per axis under one quantum (< 7 cells) while
-#: collapsing the service's near-uniform length distributions into one
-#: bucket per kernel.
+#: Pair lengths are rounded up to the next multiple of this to form the
+#: bucket key (arrays are sized to actual lengths), so a mixed-length
+#: batch lands in few buckets.  8 keeps the worst-case waste per axis
+#: under one quantum (< 7 cells) while collapsing the service's
+#: near-uniform length distributions into one bucket per kernel.
 PAD_QUANTUM = 8
 
 
@@ -104,7 +119,7 @@ def _batch_symbols(
 ) -> Any:
     """Stack per-pair symbol operands into (B, pad_len) arrays.
 
-    Padding lanes hold 0 — a valid gather index for sized alphabets, so
+    Shorter lanes' tails hold 0 — a valid gather index for sized alphabets, so
     table lookups on masked-out lanes stay in range.
     """
     alphabet = spec.alphabet
@@ -146,11 +161,15 @@ class _Pair:
 
 @dataclasses.dataclass
 class _Bucket:
-    """All pairs sharing (params identity, padded shape): one sweep."""
+    """All pairs sharing (params identity, padded shape): one sweep.
 
-    padded_q: int
-    padded_r: int
+    ``n_rows``/``n_cols`` are the members' largest *actual* lengths —
+    the padded shape only groups pairs, it never sizes an array.
+    """
+
     params: Any
+    n_rows: int = 0
+    n_cols: int = 0
     pairs: List[_Pair] = dataclasses.field(default_factory=list)
     work: Optional[np.ndarray] = None
     ptrs: Optional[np.ndarray] = None
@@ -171,49 +190,47 @@ def _sweep_bucket(spec: KernelSpec, bucket: _Bucket) -> None:
     n_layers = spec.n_layers
     sentinel = float(spec.sentinel())
     banding = spec.banding
-    padded_q, padded_r = bucket.padded_q, bucket.padded_r
+    n_rows, n_cols = bucket.n_rows, bucket.n_cols
 
+    # Working matrices: float64 everywhere (exact for the <= 32-bit score
+    # types), out-of-band cells pinned at the sentinel so neighbour reads
+    # need no masking of their own.
     work = np.full(
-        (n_layers, n_lanes, padded_q + 1, padded_r + 1),
-        sentinel,
+        (n_layers, n_lanes, n_rows + 1, n_cols + 1), sentinel,
         dtype=np.float64,
     )
     for b, pair in enumerate(bucket.pairs):
         work[:, b, 0, : pair.n_cols + 1] = pair.row0.T
         work[:, b, : pair.n_rows + 1, 0] = pair.col0.T
         if banding is not None:
-            cols = np.arange(pair.n_cols + 1)
-            rows = np.arange(pair.n_rows + 1)
-            work[:, b, 0, cols[cols > banding]] = sentinel
-            work[:, b, rows[rows > banding], 0] = sentinel
+            work[:, b, 0, banding + 1 :] = sentinel
+            work[:, b, banding + 1 :, 0] = sentinel
 
     ptrs: Optional[np.ndarray] = None
     if spec.has_traceback:
-        ptrs = np.zeros(
-            (n_lanes, padded_q + 1, padded_r + 1), dtype=np.int64
-        )
-    computed = np.zeros(
-        (n_lanes, padded_q + 1, padded_r + 1), dtype=bool
-    )
+        ptrs = np.zeros((n_lanes, n_rows + 1, n_cols + 1), dtype=np.int64)
+    computed = np.zeros((n_lanes, n_rows + 1, n_cols + 1), dtype=bool)
 
     compiled = lower(spec, bucket.params)
     scalars, tables = runtime_params(bucket.params)
     q_syms = _batch_symbols(
-        spec, [pair.query for pair in bucket.pairs], padded_q
+        spec, [pair.query for pair in bucket.pairs], n_rows
     )
     r_syms = _batch_symbols(
-        spec, [pair.reference for pair in bucket.pairs], padded_r
+        spec, [pair.reference for pair in bucket.pairs], n_cols
     )
     nq = np.asarray([pair.n_rows for pair in bucket.pairs])[:, None]
     nr = np.asarray([pair.n_cols for pair in bucket.pairs])[:, None]
+    # A full bucket (every lane as long as the arrays) needs no mask: the
+    # diagonal range below is then exactly each pair's own active set.
+    ragged = bool((nq < n_rows).any() or (nr < n_cols).any())
     quantize_array = spec.score_type.quantize_array
     pe = compiled.fn
 
-    lane_cells = 0
     padded_cells = 0
-    for d in range(2, padded_q + padded_r + 1):
-        ilo = max(1, d - padded_r)
-        ihi = min(padded_q, d - 1)
+    for d in range(2, n_rows + n_cols + 1):
+        ilo = max(1, d - n_cols)
+        ihi = min(n_rows, d - 1)
         if banding is not None:
             # |i - (d - i)| <= W  <=>  (d - W) / 2 <= i <= (d + W) / 2
             ilo = max(ilo, (d - banding + 1) // 2)
@@ -222,39 +239,47 @@ def _sweep_bucket(spec: KernelSpec, bucket: _Bucket) -> None:
             continue
         i = np.arange(ilo, ihi + 1)
         j = d - i
-        # mask restores the per-pair  i >= d - n_cols  and  i <= n_rows
-        # limits padding relaxed; masked lanes are retired pairs/padding
-        mask = (i[None, :] <= nq) & (j[None, :] <= nr)
-        if not mask.any():
-            continue
-        up = tuple(work[k][:, i - 1, j] for k in range(n_layers))
-        diag = tuple(work[k][:, i - 1, j - 1] for k in range(n_layers))
-        left = tuple(work[k][:, i, j - 1] for k in range(n_layers))
+        shape = (n_lanes, len(i))
+        mask = None
+        if ragged:
+            # restores the per-pair  i >= d - n_cols  and  i <= n_rows
+            # limits the bucket's larger arrays relaxed; masked lanes are
+            # shorter pairs that already retired on this diagonal
+            mask = (i[None, :] <= nq) & (j[None, :] <= nr)
+            if not mask.any():
+                continue
+        i1, j1 = i - 1, j - 1
+        up = tuple(work[k][:, i1, j] for k in range(n_layers))
+        diag = tuple(work[k][:, i1, j1] for k in range(n_layers))
+        left = tuple(work[k][:, i, j1] for k in range(n_layers))
         scores, ptr = pe(
             up, diag, left,
-            _take_batch(q_syms, i - 1), _take_batch(r_syms, j - 1),
+            _take_batch(q_syms, i1), _take_batch(r_syms, j1),
             scalars, tables,
         )
-        shape = (n_lanes, len(i))
         for k in range(n_layers):
             out_k = np.broadcast_to(
                 np.asarray(scores[k], dtype=np.float64), shape
             )
-            # zero the discarded lanes *before* quantizing so wrap-mode
-            # int conversion never sees values a real pair cannot reach
-            quantized = quantize_array(np.where(mask, out_k, 0.0))
-            work[k][:, i, j] = np.where(mask, quantized, work[k][:, i, j])
+            if mask is None:
+                work[k][:, i, j] = quantize_array(out_k)
+            else:
+                # zero the discarded lanes *before* quantizing so wrap-mode
+                # int conversion never sees values a real pair cannot reach
+                quantized = quantize_array(np.where(mask, out_k, 0.0))
+                work[k][:, i, j] = np.where(mask, quantized, work[k][:, i, j])
         if ptrs is not None:
             ptr_b = np.broadcast_to(np.asarray(ptr), shape)
-            ptrs[:, i, j] = np.where(mask, ptr_b, ptrs[:, i, j])
-        computed[:, i, j] |= mask
-        lane_cells += int(np.count_nonzero(mask))
-        padded_cells += mask.size
+            if mask is not None:
+                ptr_b = np.where(mask, ptr_b, ptrs[:, i, j])
+            ptrs[:, i, j] = ptr_b
+        computed[:, i, j] = True if mask is None else mask
+        padded_cells += n_lanes * len(i)
 
     bucket.work = work
     bucket.ptrs = ptrs
     bucket.computed = computed
-    bucket.lane_cells = lane_cells
+    bucket.lane_cells = int(np.count_nonzero(computed))
     bucket.padded_cells = padded_cells
 
 
@@ -276,8 +301,8 @@ def compiled_align_batch(
     ``n_pe``/``ii`` likewise accept a single int or one per pair (they
     only shape the reported cycle model).  Returns results index-aligned
     with ``pairs``; validation and finishing errors raise exactly the
-    exception the per-pair path would raise for the first failing pair
-    in submission order.
+    exception the systolic engine would raise for the first failing
+    pair in submission order.
     """
     recorder = get_recorder()
     pairs = list(pairs)
@@ -296,6 +321,31 @@ def compiled_align_batch(
             spec, pairs, params, n_pe, ii, max_query_len, max_ref_len,
             collect_matrix, model_interface, recorder,
         )
+
+
+def compiled_align(
+    spec: KernelSpec,
+    query: Sequence[Any],
+    reference: Sequence[Any],
+    params: Any = None,
+    n_pe: int = 32,
+    ii: int = 1,
+    max_query_len: Optional[int] = None,
+    max_ref_len: Optional[int] = None,
+    collect_matrix: bool = False,
+    model_interface: bool = True,
+) -> AlignmentResult:
+    """Align one pair: a batch of one through the same sweep.
+
+    Accepts exactly the arguments of :func:`repro.systolic.engine.align`
+    (``n_pe``/``ii`` only shape the reported cycle model here — the
+    NumPy sweep has no PEs) and returns a bit-identical result, raising
+    the same validation errors.
+    """
+    return compiled_align_batch(
+        spec, [(query, reference)], params, n_pe, ii, max_query_len,
+        max_ref_len, collect_matrix, model_interface,
+    )[0]
 
 
 def _batch_impl(
@@ -326,7 +376,7 @@ def _batch_impl(
     ii_list = _per_pair(ii, n_pairs, "ii")
 
     # Validate in submission order so the first bad pair raises exactly
-    # what per-pair compiled_align would have raised first.
+    # what the engine would have raised on it alone.
     members: List[_Pair] = []
     for (query, reference), pair_params in zip(pairs, params_list):
         n_rows, n_cols = len(query), len(reference)
@@ -351,9 +401,9 @@ def _batch_impl(
         key = (slot, _padded(member.n_rows), _padded(member.n_cols))
         bucket = buckets.get(key)
         if bucket is None:
-            bucket = buckets[key] = _Bucket(
-                padded_q=key[1], padded_r=key[2], params=member.params
-            )
+            bucket = buckets[key] = _Bucket(params=member.params)
+        bucket.n_rows = max(bucket.n_rows, member.n_rows)
+        bucket.n_cols = max(bucket.n_cols, member.n_cols)
         member.bucket = bucket
         member.lane = len(bucket.pairs)
         bucket.pairs.append(member)

@@ -1,53 +1,36 @@
-"""Anti-diagonal sweep driving a compiled PE function.
+"""Per-matrix finishing shared by every compiled alignment.
 
-``compiled_align`` is a drop-in replacement for
-:func:`repro.systolic.engine.align`: same signature, same validation
-errors, same :class:`~repro.core.result.AlignmentResult` — including a
-bit-identical :class:`~repro.core.result.CycleReport`, reconstructed
-from the closed-form chunk schedule instead of simulated cycle by
-cycle.  The only difference is speed: every anti-diagonal of the DP
-matrix is evaluated as one NumPy expression over the whole wavefront
-(the idiom of :mod:`repro.reference.vectorized`, generated from the
-spec by :mod:`repro.backend.compiler`).
+The anti-diagonal sweep itself lives in :mod:`repro.backend.batch` —
+there is exactly one, and ``compiled_align`` is a batch of one through
+it.  This module holds what each swept DP matrix needs afterwards, on
+its own ``(n_rows+1, n_cols+1)`` slice: the start-cell search, the
+pointer-matrix view the traceback walker reads, the collected-matrix
+assembly, and the bit-identical :class:`~repro.core.result.CycleReport`
+reconstructed from the closed-form chunk schedule instead of simulated
+cycle by cycle.
 
-Bit-identity notes (enforced by ``repro.verify_fuzz``'s three-way
-differential and ``tests/test_backend_equivalence.py``):
-
-* cell (i, j) on diagonal ``d = i + j`` depends only on diagonals
-  ``d-1`` (up/left) and ``d-2`` (diag), so a single working matrix
-  written in ``d`` order always reads finished values;
-* banding is applied by *storage* masking: out-of-band cells — and
-  init row/column cells beyond the band — hold the sentinel, which is
-  exactly what the engine's boundary muxes and the oracle's
-  ``neighbour()`` return for out-of-band coordinate reads;
-* the start-cell search restricts ``argmax``/``argmin`` to a computed
-  mask; NumPy's first-occurrence tie rule on the row-major flattened
-  matrix equals the engine's smallest-(i, j) tie break;
-* quantization uses the score type's ``quantize_array``, bit-identical
-  to the scalar ``quantize`` applied per cell.
+Bit-identity note (enforced by ``repro.verify_fuzz``'s four-way
+differential and ``tests/test_backend_equivalence.py``): the start-cell
+search restricts ``argmax``/``argmin`` to a computed mask, and NumPy's
+first-occurrence tie rule on the row-major flattened matrix equals the
+engine's smallest-(i, j) tie break.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.backend.compiler import lower, runtime_params
-from repro.core.result import AlignmentResult, CycleReport
+from repro.core.result import CycleReport
 from repro.core.spec import KernelSpec, Objective, StartRule
-from repro.obs.recorder import Recorder, get_recorder
 from repro.systolic.engine import (
     INTERFACE_CYCLES_PER_BASE,
-    TRACEBACK_SETUP_CYCLES,
     SystolicAlignmentError,
-    check_corner,
-    validate_pair,
 )
 from repro.systolic.schedule import chunk_schedules
-from repro.systolic.traceback import TracebackError, walk_traceback
+from repro.systolic.traceback import TracebackError
 
 
 class _DensePointerStore:
@@ -64,24 +47,6 @@ class _DensePointerStore:
         return int(self._ptrs[i, j])
 
 
-def _symbol_operands(spec: KernelSpec, sequence: Sequence[Any]) -> Any:
-    alphabet = spec.alphabet
-    if alphabet.is_struct:
-        return tuple(
-            np.asarray([symbol[k] for symbol in sequence], dtype=np.float64)
-            for k in range(len(alphabet.fields))
-        )
-    if alphabet.size:
-        return np.asarray(sequence, dtype=np.intp)
-    return np.asarray(sequence, dtype=np.float64)
-
-
-def _take(symbols: Any, idx: np.ndarray) -> Any:
-    if isinstance(symbols, tuple):
-        return tuple(field[idx] for field in symbols)
-    return symbols[idx]
-
-
 def select_start(
     spec: KernelSpec,
     layer: np.ndarray,
@@ -94,8 +59,8 @@ def select_start(
     ``layer`` and ``computed`` are the score layer and computed-cell mask
     of one (n_rows+1, n_cols+1) DP matrix.  NumPy's first-occurrence tie
     rule over the row-major flattened matrix equals the engine's
-    smallest-(i, j) tie break; the batched driver reuses this on per-pair
-    slices, where row-major order is likewise (i, j)-lexicographic.
+    smallest-(i, j) tie break, and a per-pair slice of a bucket's arrays
+    keeps that (i, j)-lexicographic row-major order.
     """
     if spec.start_rule is StartRule.BOTTOM_RIGHT:
         if not computed[n_rows, n_cols]:
@@ -176,176 +141,3 @@ def assemble_matrix(
     for k in range(spec.n_layers):
         matrix[k][computed] = work[k][computed].astype(matrix.dtype)
     return matrix
-
-
-def compiled_align(
-    spec: KernelSpec,
-    query: Sequence[Any],
-    reference: Sequence[Any],
-    params: Any = None,
-    n_pe: int = 32,
-    ii: int = 1,
-    max_query_len: Optional[int] = None,
-    max_ref_len: Optional[int] = None,
-    collect_matrix: bool = False,
-    model_interface: bool = True,
-) -> AlignmentResult:
-    """Align one pair with the compiled wavefront backend.
-
-    Accepts exactly the arguments of :func:`repro.systolic.engine.align`
-    (``n_pe``/``ii`` only shape the reported cycle model here — the
-    NumPy sweep has no PEs) and returns a bit-identical result.
-    """
-    recorder = get_recorder()
-    if not recorder.enabled:
-        return _align_impl(
-            spec, query, reference, params, n_pe, ii, max_query_len,
-            max_ref_len, collect_matrix, model_interface, recorder,
-        )
-    with recorder.span(
-        "engine.align", kernel=spec.name, query_len=len(query),
-        ref_len=len(reference), n_pe=n_pe, ii=ii, backend="compiled",
-    ):
-        return _align_impl(
-            spec, query, reference, params, n_pe, ii, max_query_len,
-            max_ref_len, collect_matrix, model_interface, recorder,
-        )
-
-
-def _align_impl(
-    spec: KernelSpec,
-    query: Sequence[Any],
-    reference: Sequence[Any],
-    params: Any,
-    n_pe: int,
-    ii: int,
-    max_query_len: Optional[int],
-    max_ref_len: Optional[int],
-    collect_matrix: bool,
-    model_interface: bool,
-    recorder: Recorder,
-) -> AlignmentResult:
-    n_rows, n_cols = len(query), len(reference)
-    max_q = max_query_len if max_query_len is not None else n_rows
-    max_r = max_ref_len if max_ref_len is not None else n_cols
-    validate_pair(spec, query, reference, max_q, max_r)
-    if params is None:
-        params = spec.default_params
-
-    n_layers = spec.n_layers
-    sentinel = spec.sentinel()
-    banding = spec.banding
-    score_layer = spec.score_layer
-
-    row0 = spec.init_row_scores(params, n_cols + 1)
-    col0 = spec.init_col_scores(params, n_rows + 1)
-    check_corner(spec, row0, col0)
-
-    compiled = lower(spec, params)
-    scalars, tables = runtime_params(params)
-    q_syms = _symbol_operands(spec, query)
-    r_syms = _symbol_operands(spec, reference)
-    quantize_array = spec.score_type.quantize_array
-
-    # Working matrices: float64 everywhere (exact for the <= 32-bit score
-    # types), out-of-band cells pinned at the sentinel so neighbour reads
-    # need no masking of their own.
-    work = np.full(
-        (n_layers, n_rows + 1, n_cols + 1), float(sentinel), dtype=np.float64
-    )
-    work[:, 0, :] = row0.T
-    work[:, :, 0] = col0.T
-    if banding is not None:
-        cols = np.arange(n_cols + 1)
-        rows = np.arange(n_rows + 1)
-        work[:, 0, cols > banding] = float(sentinel)
-        work[:, rows > banding, 0] = float(sentinel)
-
-    ptrs: Optional[np.ndarray] = None
-    if spec.has_traceback:
-        ptrs = np.zeros((n_rows + 1, n_cols + 1), dtype=np.int64)
-    computed = np.zeros((n_rows + 1, n_cols + 1), dtype=bool)
-
-    pe = compiled.fn
-    cells_evaluated = 0
-    for d in range(2, n_rows + n_cols + 1):
-        ilo = max(1, d - n_cols)
-        ihi = min(n_rows, d - 1)
-        if banding is not None:
-            # |i - (d - i)| <= W  <=>  (d - W) / 2 <= i <= (d + W) / 2
-            ilo = max(ilo, (d - banding + 1) // 2)
-            ihi = min(ihi, (d + banding) // 2)
-        if ilo > ihi:
-            continue
-        i = np.arange(ilo, ihi + 1)
-        j = d - i
-        up = tuple(work[k, i - 1, j] for k in range(n_layers))
-        diag = tuple(work[k, i - 1, j - 1] for k in range(n_layers))
-        left = tuple(work[k, i, j - 1] for k in range(n_layers))
-        scores, ptr = pe(
-            up, diag, left, _take(q_syms, i - 1), _take(r_syms, j - 1),
-            scalars, tables,
-        )
-        for k in range(n_layers):
-            out_k = np.broadcast_to(
-                np.asarray(scores[k], dtype=np.float64), i.shape
-            )
-            work[k, i, j] = quantize_array(out_k)
-        if ptrs is not None:
-            ptrs[i, j] = np.broadcast_to(np.asarray(ptr), i.shape)
-        computed[i, j] = True
-        cells_evaluated += len(i)
-
-    # ------------------------------------------------------------------
-    # locate the reported score / traceback start cell
-    # ------------------------------------------------------------------
-    raw_score, start = select_start(
-        spec, work[score_layer], computed, n_rows, n_cols
-    )
-    # Restore the scalar engine's score type (Python int for ap_int
-    # kernels, float for ap_fixed) — quantize is idempotent on already
-    # quantized values.
-    score = spec.quantize(float(raw_score))
-
-    alignment = None
-    traceback_cycles = 0
-    if ptrs is not None:
-        if recorder.enabled:
-            with recorder.span(
-                "engine.traceback", start_row=start[0], start_col=start[1]
-            ):
-                alignment = walk_traceback(spec, _DensePointerStore(ptrs), start)
-        else:
-            alignment = walk_traceback(spec, _DensePointerStore(ptrs), start)
-        traceback_cycles = alignment.aligned_length + TRACEBACK_SETUP_CYCLES
-
-    # ------------------------------------------------------------------
-    # cycle model: reconstructed from the chunk schedule in closed form —
-    # the same arithmetic the systolic engine accumulates while running.
-    # ------------------------------------------------------------------
-    cycles = cycle_report(
-        spec, n_rows, n_cols, n_pe, ii, traceback_cycles, model_interface
-    )
-
-    if recorder.enabled:
-        recorder.count("engine.alignments")
-        recorder.count("engine.wavefronts", cycles.wavefronts)
-        recorder.count("engine.cells", cells_evaluated)
-        recorder.count("engine.cells_total{backend=compiled}", cells_evaluated)
-
-    matrix: Optional[np.ndarray] = None
-    if collect_matrix:
-        matrix = assemble_matrix(spec, row0, col0, work, computed)
-
-    if alignment is not None:
-        end = (alignment.query_start, alignment.ref_start)
-    else:
-        end = (0, 0)
-    return AlignmentResult(
-        score=score,
-        start=start,
-        end=end,
-        alignment=alignment,
-        cycles=cycles,
-        matrix=matrix,
-    )

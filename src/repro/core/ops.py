@@ -71,7 +71,6 @@ def _fold(values: Sequence[Any], plain_fn: Any) -> Any:
 
 
 def _compare_traced(a: Any, b: Any) -> TracedValue:
-    probe = _traced(a, b)
     if isinstance(a, TracedValue):
         return a < b  # records one comparator
     return b < a

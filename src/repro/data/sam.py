@@ -1,7 +1,8 @@
-"""Minimal SAM output for the read mapper.
+"""Minimal SAM output for the read mappers.
 
-Real aligners emit SAM; the mapper's :class:`MappedRead` carries all the
-fields a minimal single-end record needs.  Only the subset of the spec
+Real aligners emit SAM; :class:`MappedRead` — the mapping decision both
+``repro.apps.read_mapper`` and ``repro.pipeline`` produce — carries all
+the fields a minimal single-end record needs.  Only the subset of the spec
 the pipeline example uses is implemented: header (@HD/@SQ), FLAG bits 4
 (unmapped) and 16 (reverse strand), POS/MAPQ/CIGAR, and the sequence.
 """
@@ -12,13 +13,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
-from repro.apps.read_mapper import MappedRead, ReadMapper
 from repro.core.result import Move, expand_cigar
 
 PathLike = Union[str, Path]
 
 FLAG_UNMAPPED = 4
 FLAG_REVERSE = 16
+
+
+@dataclass(frozen=True)
+class MappedRead:
+    """One mapping decision."""
+
+    position: int          # 0-based genome offset of the alignment window start
+    strand: str            # '+' or '-'
+    score: float
+    cigar: str
+    window_offset: int     # alignment start within the window
 
 
 def sam_header(reference_name: str, reference_length: int) -> str:
@@ -33,7 +44,6 @@ def sam_record(
     read_name: str,
     sequence: str,
     hit: Optional[MappedRead],
-    mapper: Optional[ReadMapper] = None,
     reference_name: str = "ref",
     mapq: int = 60,
 ) -> str:
@@ -44,10 +54,7 @@ def sam_record(
              "*", "0", "0", sequence, "*"]
         )
     flag = FLAG_REVERSE if hit.strand == "-" else 0
-    position = (
-        mapper.mapped_start(hit) if mapper is not None
-        else hit.position + hit.window_offset
-    )
+    position = hit.position + hit.window_offset
     return "\t".join(
         [
             read_name,
@@ -67,15 +74,13 @@ def sam_record(
 def write_sam(
     path: PathLike,
     records: List[Tuple[str, str, Optional[MappedRead]]],
-    mapper: ReadMapper,
+    reference_length: int,
     reference_name: str = "ref",
 ) -> None:
     """Write a header plus one record per (name, sequence, hit) triple."""
-    lines = [sam_header(reference_name, len(mapper.genome))]
+    lines = [sam_header(reference_name, reference_length)]
     for name, sequence, hit in records:
-        lines.append(
-            sam_record(name, sequence, hit, mapper, reference_name)
-        )
+        lines.append(sam_record(name, sequence, hit, reference_name))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -16,18 +16,15 @@ batch-level throughput and utilization.
   record instead of aborting the batch;
 * ``timeout`` bounds each pair's wall-clock seconds;
 * ``backend`` overrides the runtime's constructed backend for one call
-  (backends are bit-identical, so this only moves wall-clock);
-* ``batch_exec`` selects the whole-batch fast path — when the backend
-  has one (``backend="compiled"``), the serial path hands the entire
-  batch to one :func:`repro.backend.compiled_align_batch` sweep instead
-  of N per-pair calls, falling back to per-pair execution (and its
-  failure isolation) if the sweep raises.
+  (backends are bit-identical, so this only moves wall-clock).
 
-The historical per-knob keyword arguments (``workers=`` / ``timeout=``
-/ ``batch_exec=``) keep working for one release through a thin adapter
-that emits a ``DeprecationWarning``; the even older ``align_one`` /
-``align_batch`` / ``submit`` trio (deprecated since the ``run``
-unification) has been deleted.
+There is one wavefront driver and ``run`` reaches it one way: when the
+backend has a whole-batch callable (``backend="compiled"``) the serial
+path hands the entire batch to one
+:func:`repro.backend.compiled_align_batch` sweep; ``workers > 1``,
+``timeout``, or a sweep that raises run per pair instead — for the
+compiled backend the same driver on batches of one — which is what
+turns a failing pair into a :class:`WorkError` record.
 
 Execution reports through the current :mod:`repro.obs` recorder: a
 ``host.run`` span brackets the batch, with child ``host.execute``
@@ -39,7 +36,6 @@ would have done.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -49,9 +45,6 @@ from repro.host.scheduler import AlignmentBatch, HostScheduler, ScheduleResult
 from repro.obs.recorder import get_recorder
 from repro.parallel import ParallelExecutor, WorkError
 from repro.synth.compiler import LaunchConfig, SynthesisReport, synthesize
-
-#: The per-knob keywords the legacy-adapter still accepts on ``run``.
-_LEGACY_RUN_KWARGS = ("workers", "timeout", "batch_exec")
 
 
 @dataclass(frozen=True)
@@ -69,18 +62,11 @@ class RunOptions:
     naming one (``"systolic"`` / ``"compiled"``) overrides it for this
     call only — results are bit-identical either way, so the override
     moves wall-clock, never answers.
-
-    ``batch_exec`` selects the whole-batch fast path: ``None`` (the
-    default) uses it automatically whenever the effective backend has
-    one and the serial path applies; ``False`` forces per-pair
-    execution; ``True`` demands a batched backend and raises if there
-    is none.
     """
 
     workers: Optional[int] = None
     timeout: Optional[float] = None
     backend: Optional[str] = None
-    batch_exec: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -134,43 +120,6 @@ class BatchOutcome:
     def utilization(self) -> float:
         """Mean block occupancy while draining the batch."""
         return self.schedule.utilization
-
-
-def resolve_run_options(
-    options: Optional[RunOptions], legacy: dict, stacklevel: int = 3
-) -> RunOptions:
-    """Merge the ``options=`` value with legacy per-knob kwargs.
-
-    The adapter behind the one-release compatibility window: legacy
-    keywords build a :class:`RunOptions` (warning once per call site),
-    and mixing both spellings is an error rather than a silent
-    precedence rule.
-    """
-    if options is not None and not isinstance(options, RunOptions):
-        raise TypeError(
-            f"options must be a RunOptions, got {type(options).__name__}"
-        )
-    if not legacy:
-        return options if options is not None else RunOptions()
-    unknown = set(legacy) - set(_LEGACY_RUN_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"run() got unexpected keyword argument(s) {sorted(unknown)}; "
-            f"supported: options=RunOptions(...) or the deprecated "
-            f"{'/'.join(_LEGACY_RUN_KWARGS)}"
-        )
-    if options is not None:
-        raise TypeError(
-            "pass either options=RunOptions(...) or the deprecated "
-            "workers=/timeout=/batch_exec= keywords, not both"
-        )
-    warnings.warn(
-        "passing workers=/timeout=/batch_exec= to run() is deprecated; "
-        "use options=RunOptions(workers=..., timeout=..., "
-        "backend=..., batch_exec=...) instead",
-        DeprecationWarning, stacklevel=stacklevel,
-    )
-    return RunOptions(**legacy)
 
 
 class DeviceRuntime:
@@ -233,7 +182,6 @@ class DeviceRuntime:
         self,
         pairs: Sequence[Tuple[Sequence[Any], Sequence[Any]]],
         options: Optional[RunOptions] = None,
-        **legacy: Any,
     ) -> BatchOutcome:
         """Align a batch with host-side parallelism and failure isolation.
 
@@ -243,25 +191,18 @@ class DeviceRuntime:
         empty batch is a no-op: the scheduler already models it as a
         zero-cycle schedule, so online callers (the service batcher)
         never special-case it.
-
-        The deprecated ``workers=`` / ``timeout=`` / ``batch_exec=``
-        keywords still work for one release (with a
-        ``DeprecationWarning``) through :func:`resolve_run_options`.
         """
-        opts = resolve_run_options(options, legacy)
+        opts = RunOptions() if options is None else options
+        if not isinstance(opts, RunOptions):
+            raise TypeError(
+                f"options must be a RunOptions, got {type(opts).__name__}"
+            )
         started = time.monotonic()
         backend, align_fn, batch_fn = self._backend_fns(opts.backend)
         n_workers = opts.n_workers
-        if opts.batch_exec and batch_fn is None:
-            raise ValueError(
-                f"backend {backend!r} has no batched fast path; "
-                f"use batch_exec=False or backend='compiled'"
-            )
+        # whole batch first; per-pair only where isolation needs it
         use_batch = (
-            n_workers == 1
-            and opts.timeout is None
-            and batch_fn is not None
-            and opts.batch_exec is not False
+            batch_fn is not None and n_workers == 1 and opts.timeout is None
         )
         recorder = get_recorder()
         pairs = list(pairs)

@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.api.stage import Stage
 from repro.apps.chaining import Anchor, chain_anchors
-from repro.apps.read_mapper import MappedRead
 from repro.core.alphabet import encode_dna
 from repro.core.result import compress_cigar
 from repro.data.fastq import FastqRecord
 from repro.data.genome import reverse_complement
+from repro.data.sam import MappedRead
 from repro.pipeline.dispatch import TileDispatcher
 from repro.pipeline.extend import extend_batch
 from repro.pipeline.index import KmerIndex

@@ -121,7 +121,7 @@ def align(
     """
     recorder = get_recorder()
     if not recorder.enabled:
-        return _align_impl(
+        return _simulate(
             spec, query, reference, params, n_pe, ii, max_query_len,
             max_ref_len, collect_matrix, model_interface, recorder,
         )
@@ -129,13 +129,13 @@ def align(
         "engine.align", kernel=spec.name, query_len=len(query),
         ref_len=len(reference), n_pe=n_pe, ii=ii,
     ):
-        return _align_impl(
+        return _simulate(
             spec, query, reference, params, n_pe, ii, max_query_len,
             max_ref_len, collect_matrix, model_interface, recorder,
         )
 
 
-def _align_impl(
+def _simulate(
     spec: KernelSpec,
     query: Sequence[Any],
     reference: Sequence[Any],

@@ -27,7 +27,6 @@ from repro.core.spec import KernelSpec
 from repro.parallel import ParallelExecutor
 from repro.reference.dp_oracle import oracle_align
 from repro.synth.throughput import cycles_per_alignment
-from repro.systolic.engine import align
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def _check_pair(
     """All checks for one pair at every PE count: (runs, failures)."""
     from repro.backend import get_backend
 
-    align_fn = align if backend == "systolic" else get_backend(backend)
+    align_fn = get_backend(backend)
     failures: List[VerificationFailure] = []
     runs = 0
     expected = oracle_align(spec, query, reference)

@@ -19,8 +19,10 @@ whose detail is the full three-way disagreement triple
 (``systolic=... compiled=... oracle=...``).  A fifth leg re-runs every
 kernel's cases as *one* :func:`repro.backend.compiled_align_batch`
 lockstep sweep (mixed lengths, per-case PE counts) and compares each
-slot bit-identically against the per-pair compiled result — any
-divergence is a ``batched_*`` failure.  A failing case is then *shrunk* — query and reference are
+slot bit-identically against the same pair as a batch of one — the
+driver's masked ragged-bucket branch against its unmasked full-bucket
+branch — any divergence is a ``batched_*`` failure.  A failing case is
+then *shrunk* — query and reference are
 greedily truncated and thinned while the failure persists — so every
 mismatch lands as a minimal reproducer ready to paste into a regression
 test (see ``tests/test_fuzz_regressions.py``).
@@ -437,8 +439,8 @@ def shrink_case(
 
 
 def _compare_batched(single, batched) -> List[FuzzFailure]:
-    """Strict bit-identity checks between a per-pair compiled result and
-    the same pair's slot in a batched sweep (no tolerance anywhere)."""
+    """Strict bit-identity checks between a batch-of-one compiled result
+    and the same pair's slot in a batched sweep (no tolerance anywhere)."""
     failures: List[FuzzFailure] = []
     if batched.score != single.score or (
         type(batched.score) is not type(single.score)
@@ -479,9 +481,11 @@ def _batched_failures(
     Each kernel's cases run as *one* ``compiled_align_batch`` sweep
     (mixed lengths and per-case PE counts, exactly as the service's
     batcher would hand them over) and every slot is compared strictly
-    against a fresh per-pair ``compiled_align``.  Cases whose single-pair
-    run raises are skipped here — the per-case compiled leg already
-    reports them.
+    against a fresh ``compiled_align`` — the same driver on a batch of
+    one, so this pits the masked ragged-bucket branch against the
+    unmasked full-bucket branch (which the per-case leg pins to the
+    engine).  Cases whose single-pair run raises are skipped here — the
+    per-case compiled leg already reports them.
     """
     failures: List[Tuple[FuzzCase, FuzzFailure]] = []
     pairs_checked = 0
@@ -589,7 +593,7 @@ def run_corpus(
 
     # ------------------------------------------------------------------
     # batched-vs-single leg: every kernel's cases as one lockstep sweep,
-    # slots compared bit-identically to fresh per-pair compiled runs.
+    # slots compared bit-identically to fresh batch-of-one compiled runs.
     # Not shrunk — the reproducer is the whole batch, and the per-pair
     # inputs are already minimal fuzz cases.
     # ------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Batched wavefront execution: bit-identity, exceptions, pre-warming.
 
 The batched sweep's contract is that it is *invisible* — every
-observable output of ``compiled_align_batch`` equals running
-``compiled_align`` per pair, for any batch composition the service can
+observable output of ``compiled_align_batch`` equals the systolic
+engine's on that pair alone, for any batch composition the service can
 produce: shuffled mixed lengths, mixed parameter sets, a single pair,
 an empty flush, and the all-identical batch the cache's single-flight
-path collapses to.  The exception contract matches too: the first
-invalid pair in submission order raises the same error the single-pair
-call would.
+path collapses to — on both sides of the driver's own full-bucket /
+ragged-bucket choice.  The exception contract matches too: the first
+invalid pair in submission order raises the same error the engine
+would.  (``compiled_align`` is a batch of one through the same driver,
+so the reference here is the engine, never the compiled backend.)
 
-Alongside ride the PR's pre-warm regressions (lowering is memoized and
+Alongside ride the pre-warm regressions (lowering is memoized and
 primed at construction/worker-ready time, never on the first request)
-and the ``DeviceRuntime.run`` fast-path plumbing (auto-engage, opt-out,
-``batch_exec=True`` without a batched backend, and the per-pair
-fallback that keeps failure isolation).
+and the ``DeviceRuntime.run`` plumbing (whole batch first, per-pair for
+``timeout``, and the per-pair fallback that keeps failure isolation).
 """
 
 import dataclasses
@@ -31,11 +32,13 @@ from repro.backend import (
     prewarm,
 )
 from repro.backend import compiler
+from repro.experiments.workloads import WORKLOADS
 from repro.host import DeviceRuntime, RunOptions
 from repro.kernels import get_kernel, kernel_ids
 from repro.obs import TraceRecorder, set_recorder
 from repro.shard import Deployment
 from repro.synth import LaunchConfig
+from repro.systolic import align
 from repro.systolic.engine import SystolicAlignmentError
 from repro.verify_fuzz import generate_case
 
@@ -43,14 +46,15 @@ ALL_KERNELS = tuple(kernel_ids())
 
 
 def _single(spec, query, reference, n_pe, params=None, collect_matrix=False):
-    return compiled_align(
+    """The reference: the systolic engine on this pair alone."""
+    return align(
         spec, query, reference, params=params, n_pe=n_pe,
         collect_matrix=collect_matrix,
     )
 
 
 def assert_same_result(single, batched, collect_matrix=False):
-    """Every observable output must match the single-pair run exactly."""
+    """Every observable output must match the engine's run exactly."""
     assert batched.score == single.score
     assert type(batched.score) is type(single.score)
     assert batched.start == single.start
@@ -71,8 +75,47 @@ def _mixed_batch(kid, n=6, max_len=24):
     return pairs, n_pes
 
 
+#: Bucket compositions on either side of the driver's mask decision.
+BUCKET_SHAPES = {
+    # uniform, lengths not a multiple of PAD_QUANTUM: full bucket, no mask
+    "uniform_off_quantum": [(50, 43)] * 5,
+    # one full-length and one shorter lane in the same quantum bucket: masked
+    "full_plus_shorter": [(50, 43), (45, 41)],
+    # neither lane fills both axes: the last diagonals have no valid lane
+    "crossed_maxima": [(50, 41), (45, 43)],
+    "one_by_one": [(1, 1)],
+    "single": [(21, 17)],
+}
+
+
+def _shaped_batch(kid, shapes):
+    """Pairs of exactly the given (n_rows, n_cols), stock-workload content."""
+    base = WORKLOADS[kid].make_pairs(len(shapes), seed=kid)
+    return [
+        (tuple(query[:n_rows]), tuple(reference[:n_cols]))
+        for (query, reference), (n_rows, n_cols) in zip(base, shapes)
+    ]
+
+
 class TestBatchedBitIdentity:
     """The core property: batched == per-pair, byte for byte."""
+
+    @pytest.mark.parametrize("shape", sorted(BUCKET_SHAPES))
+    @pytest.mark.parametrize("kid", (1, 4, 9, 11, 12))
+    def test_bucket_shapes(self, kid, shape):
+        """Full and ragged buckets, and batch-of-one, against the engine
+        — collected matrices included."""
+        spec = get_kernel(kid)
+        pairs = _shaped_batch(kid, BUCKET_SHAPES[shape])
+        batched = compiled_align_batch(
+            spec, pairs, n_pe=8, collect_matrix=True
+        )
+        assert len(batched) == len(pairs)
+        for (query, reference), result in zip(pairs, batched):
+            assert_same_result(
+                _single(spec, query, reference, 8, collect_matrix=True),
+                result, collect_matrix=True,
+            )
 
     @pytest.mark.parametrize("kid", ALL_KERNELS)
     def test_shuffled_mixed_length_batch(self, kid):
@@ -108,9 +151,11 @@ class TestBatchedBitIdentity:
         (result,) = compiled_align_batch(
             spec, [(case.query, case.reference)], n_pe=case.n_pe
         )
-        assert_same_result(
-            _single(spec, case.query, case.reference, case.n_pe), result
-        )
+        single = _single(spec, case.query, case.reference, case.n_pe)
+        assert_same_result(single, result)
+        assert_same_result(single, compiled_align(
+            spec, case.query, case.reference, n_pe=case.n_pe
+        ))
 
     def test_all_pairs_identical(self):
         """The shape the cache's single-flight dedup collapses to."""
@@ -157,17 +202,20 @@ class TestBatchedBitIdentity:
 
 
 class TestBatchExceptionParity:
-    """The first invalid pair (submission order) raises the single error."""
+    """The first invalid pair (submission order) raises the engine's error."""
 
     def test_invalid_first_pair(self):
         spec = get_kernel(1)
         good = generate_case(1, 3, max_len=16)
         with pytest.raises(SystolicAlignmentError) as single_err:
+            align(spec, (), good.reference)
+        with pytest.raises(SystolicAlignmentError) as one_err:
             compiled_align(spec, (), good.reference)
         with pytest.raises(SystolicAlignmentError) as batch_err:
             compiled_align_batch(
                 spec, [((), good.reference), (good.query, good.reference)]
             )
+        assert str(one_err.value) == str(single_err.value)
         assert str(batch_err.value) == str(single_err.value)
 
     def test_first_offender_wins(self):
@@ -176,7 +224,7 @@ class TestBatchExceptionParity:
         good = generate_case(1, 3, max_len=16)
         too_long = tuple(range(0, 4)) * 100  # 400 > max_query_len
         with pytest.raises(SystolicAlignmentError) as single_err:
-            compiled_align(spec, too_long, good.reference, max_query_len=64)
+            align(spec, too_long, good.reference, max_query_len=64)
         with pytest.raises(SystolicAlignmentError) as batch_err:
             compiled_align_batch(
                 spec,
@@ -231,7 +279,7 @@ class TestPrewarm:
 
 
 class TestRuntimeFastPath:
-    """`DeviceRuntime.run` wiring: auto-engage, opt-out, fallback."""
+    """`DeviceRuntime.run` wiring: whole batch first, per-pair fallback."""
 
     def _runtime(self, backend="compiled"):
         return DeviceRuntime(
@@ -258,17 +306,13 @@ class TestRuntimeFastPath:
             fast = runtime.run(pairs)
         finally:
             set_recorder(previous)
-        slow = runtime.run(pairs, options=RunOptions(batch_exec=False))
+        # a timeout needs per-pair isolation, so it takes the per-pair path
+        slow = runtime.run(pairs, options=RunOptions(timeout=60.0))
         assert not fast.errors and not slow.errors
         assert recorder.snapshot()["counters"]["host.batched_fast_path"] == 1
         for fast_result, slow_result in zip(fast.results, slow.results):
             assert_same_result(slow_result, fast_result)
         assert fast.schedule == slow.schedule
-
-    def test_batch_exec_true_without_batched_backend_raises(self):
-        runtime = self._runtime(backend="systolic")
-        with pytest.raises(ValueError, match="no batched fast path"):
-            runtime.run(self._pairs(2), options=RunOptions(batch_exec=True))
 
     def test_fallback_isolates_failing_pair(self):
         """A poisoned batch degrades to per-pair WorkError isolation."""

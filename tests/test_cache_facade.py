@@ -201,11 +201,11 @@ class TestCachedRuntime:
         leader_entered = threading.Event()
         release = threading.Event()
 
-        def slow_run(pairs, options=None, **legacy):
+        def slow_run(pairs, options=None):
             engine_pair_counts.append(len(pairs))
             leader_entered.set()
             assert release.wait(timeout=30.0)
-            return real_run(pairs, options=options, **legacy)
+            return real_run(pairs, options=options)
 
         inner.run = slow_run
         outcomes = {}

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.read_mapper import MappedRead, ReadMapper
+from repro.apps.read_mapper import ReadMapper
 from repro.core.alphabet import decode_dna
 from repro.data.genome import extract_region, random_genome
 from repro.data.sam import (
     FLAG_REVERSE,
     FLAG_UNMAPPED,
+    MappedRead,
     parse_sam_positions,
     sam_header,
     sam_record,
@@ -40,7 +41,7 @@ class TestSam:
     def test_mapped_record_fields(self, mapper):
         read = extract_region(mapper.genome, 100, 50)
         hit = mapper.map(read)
-        record = sam_record("r1", decode_dna(read), hit, mapper, "chr1")
+        record = sam_record("r1", decode_dna(read), hit, "chr1")
         fields = record.split("\t")
         assert fields[0] == "r1"
         assert int(fields[1]) & FLAG_UNMAPPED == 0
@@ -65,7 +66,8 @@ class TestSam:
         hit = mapper.map(read)
         path = tmp_path / "out.sam"
         write_sam(path, [("r1", decode_dna(read), hit),
-                         ("r2", "ACGTACGTACGT", None)], mapper)
+                         ("r2", "ACGTACGTACGT", None)],
+                  len(mapper.genome))
         parsed = parse_sam_positions(path)
         assert parsed[0] == ("r1", 200, True)
         assert parsed[1][2] is False

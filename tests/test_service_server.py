@@ -135,6 +135,29 @@ class TestEndToEndTCP:
             server.server_close()
 
 
+    def test_api_serve_single_shard_answers_and_closes(self):
+        """``api.serve(shards=1)`` returns a *serving* handle: a request
+        is answered and ``close()`` returns."""
+        from repro import api
+        from repro.shard import Deployment
+
+        handle = api.serve(
+            Deployment(kernel_ids=(1,), max_len=64, backend="compiled"),
+            shards=1,
+        )
+        closer = threading.Thread(target=handle.close, daemon=True)
+        client = AlignmentClient(*handle.address)
+        try:
+            _kid, query, reference = make_workload(1)[0]
+            slot = client.submit(1, query, reference)
+            assert slot.result(timeout=30.0).status is Status.OK
+        finally:
+            client.close()
+            closer.start()
+            closer.join(timeout=30.0)
+        assert not closer.is_alive()
+
+
 class TestBackpressure:
     def test_past_the_bound_requests_reject_not_drop(self):
         """Flooding a tiny admission bound answers every request."""
