@@ -1,67 +1,64 @@
 """The wavefront driver: align whole batches in one compiled sweep.
 
-``compiled_align_batch`` packs B independent alignments into 3D working
-arrays ``(n_layers, B, Q+1, R+1)`` and sweeps all B DP matrices'
-anti-diagonals in lockstep: each diagonal of each layer is a single
-NumPy expression over a ``(B, wavefront)`` operand block, so the
-per-diagonal Python/NumPy dispatch overhead that dominates at
-service-sized lengths is amortized over the whole batch.  The generated
-``_pe`` from :mod:`repro.backend.compiler` is purely elementwise
-(``np.where``/``maximum``/arithmetic/table gathers), so the batch axis
-folds in by reshaping operands — no compiler change.
+``compiled_align_batch`` sweeps the anti-diagonals of B independent DP
+matrices in lockstep: each diagonal of each layer is one NumPy
+expression over a ``(B, wavefront)`` operand block, so the per-diagonal
+dispatch overhead that dominates at service-sized lengths is amortized
+over the batch.  The generated ``_pe`` (:mod:`repro.backend.compiler`)
+is purely elementwise, so the batch axis folds in with no compiler
+change — DP-HLS's inter-sequence PE-array packing, one level up.  It is
+the *only* sweep: ``compiled_align`` is a batch of one.
 
-This is the inter-sequence parallelism of the DP-HLS PE-array packing,
-applied one level up: instead of many PEs per pair, many pairs per
-sweep.  It is also the *only* sweep: ``compiled_align`` is a batch of
-one through the same loop.
+**Skewed storage.**  Scores are held the way the systolic array holds
+them, by anti-diagonal: cell ``(i, j)`` lives at ``[i + j, i]`` of a
+per-layer ``(B, rows, Q+2)`` buffer, so on diagonal ``d`` over rows
+``ilo..ihi`` every operand is a plain slice — ``up = prev[:, ilo-1:ihi]``,
+``left = prev[:, ilo:ihi+1]``, ``diag = prev2[:, ilo-1:ihi]``, query
+symbols ``q[:, ilo-1:ihi]``, reference symbols a slice of a once-reversed,
+right-aligned copy.  No gather, no scatter.  A cell depends only on
+diagonals ``d-1`` and ``d-2``, so a layer rolls through ``rows = 3``
+buffers addressed ``d % rows`` (PE registers plus the preserved-row
+buffer); a layer that must outlive the sweep — all of them under
+``collect_matrix``, the score layer when the start rule searches the
+matrix — gets ``rows = Q+R+1`` under the same indexing.  Pointers go to
+one skewed ``(B, Q+R+1, Q+2)`` array the walker reads as ``[i+j, i]``.
 
-Why one working matrix per pair suffices: cell (i, j) on diagonal
-``d = i + j`` depends only on diagonals ``d-1`` (up/left) and ``d-2``
-(diag), so a matrix written in ``d`` order always reads finished
-values.  Banding is applied by *storage* masking — out-of-band cells,
-and init row/column cells beyond the band, hold the sentinel, which is
-exactly what the engine's boundary muxes and the oracle's
-``neighbour()`` return for out-of-band reads — and quantization uses
-the score type's ``quantize_array``, bit-identical to the scalar
-``quantize`` applied per cell.
+**Boundaries.**  Reads from diagonals ``d-1``/``d-2`` never leave their
+``[ilo-1, ihi+1]`` (every bound is monotone in ``d``), so besides
+writing ``ilo..ihi`` the driver pins just the two flanking cells: the
+init row/column value where the flank is cell ``(0, d)`` / ``(d, 0)``
+inside the pair and the band, the sentinel otherwise — what the engine's
+boundary muxes and the oracle's ``neighbour()`` return out of band.
 
-Bit-identity contract (enforced by ``repro.verify_fuzz``'s batched leg
-and ``tests/test_backend_batch.py``): for every pair, the returned
-:class:`~repro.core.result.AlignmentResult` — score *and its Python
-type*, start/end cells, traceback moves, :class:`CycleReport`, collected
+Bit-identity contract (``repro.verify_fuzz``'s batched leg and
+``tests/test_backend_batch.py``): every pair's result — score *and its
+Python type*, start/end cells, moves, :class:`CycleReport`, collected
 matrix — equals :func:`repro.systolic.engine.align` on that pair alone,
-whatever else shares its batch.  The argument is:
+whatever else shares its batch.  The argument:
 
 * pairs are bucketed by ``(params identity, padded lengths)``; lengths
-  are rounded up to :data:`PAD_QUANTUM` multiples *for grouping only*,
-  so mixed-length batches share buckets, while each bucket's arrays are
-  sized to its members' largest actual lengths (waste recorded via the
-  ``engine.batch.*`` counters and the ``engine.batch.waste_frac`` gauge);
-* in a *full* bucket — every lane exactly as long as the arrays, the
-  batch-of-one and uniform-length serving shapes — the band range at
-  diagonal ``d`` is each pair's own active set and results are written
-  unmasked;
-* in a *ragged* bucket that range intersected with the per-pair validity
-  mask ``(i <= len_q) & (j <= len_r)`` is *exactly* the pair's own
-  active set: the larger arrays only relax the ``i >= d - n_cols`` /
-  ``i <= n_rows`` limits, and the mask restores them, while the banding
-  clip depends on ``d`` alone;
-* valid cells' neighbour reads never leave the pair's own region
-  (indices only decrease), and every cell there holds the per-pair
-  value: init row/column are written per pair, out-of-band cells are
-  sentinel-pinned, and masked writes never touch cells outside a pair's
-  active set;
-* lanes that are masked out on a diagonal (shorter pairs retiring
-  early) still flow through ``_pe`` — on zeroed garbage that is
-  discarded by the masked write, so quantization never sees values a
-  real pair could not produce;
-* the start-cell argmax runs on each pair's own ``(len_q+1, len_r+1)``
-  slice, where row-major order is the same (i, j)-lexicographic order
-  as a single-pair matrix, preserving the smallest-(i, j) tie break;
-* traceback walks each pair's own pointer slice; the cycle model is
-  closed-form per pair (``n_pe``/``ii`` may vary across the batch).
+  round up to :data:`PAD_QUANTUM` *for grouping only* — buffers are
+  sized to the members' largest actual lengths (waste is recorded in the
+  ``engine.batch.*`` counters and the ``waste_frac`` gauge);
+* the band range at diagonal ``d`` depends on ``d`` alone; in a *full*
+  bucket (every lane as long as the buffers) it is each pair's own
+  active set, and ``quantize_array`` equals the scalar ``quantize``;
+* in a *ragged* bucket a shorter lane's cells with ``i > len_q`` or
+  ``j > len_r`` are garbage — and unreachable: a valid cell reads
+  ``(i-1, j)``, ``(i, j-1)``, ``(i-1, j-1)``, indices only decrease, so
+  it never leaves its pair's ``(len_q+1, len_r+1)`` region, where all is
+  the pair's init value, the sentinel, or computed from such reads.
+  Nothing of a retired lane needs preserving; it still flows through
+  ``_pe`` but is zeroed *before* quantizing, so wrap-mode integer
+  conversion never sees values a real pair could not produce;
+* ``BOTTOM_RIGHT`` captures each lane's corner on the lane's own last
+  diagonal; other start rules argmax the pair's un-skewed view over the
+  closed form of its computed cells, where row-major order is the
+  engine's smallest-(i, j) tie break;
+* traceback walks the pair's own pointer rows (never-written cells read
+  0); the cycle model is closed-form per pair.
 
-Which branch runs is read off the bucket's own lengths, never set by a
+Full or ragged is read off the bucket's own lengths, never set by a
 caller — see ``docs/backends.md``.
 """
 
@@ -74,14 +71,16 @@ import numpy as np
 
 from repro.backend.compiler import lower, runtime_params
 from repro.backend.wavefront import (
-    _DensePointerStore,
+    SkewedPointers,
     assemble_matrix,
+    computed_cells,
     cycle_report,
     select_start,
+    unskew,
 )
 from repro.core.result import AlignmentResult
-from repro.core.spec import KernelSpec
-from repro.obs.recorder import Recorder, get_recorder
+from repro.core.spec import KernelSpec, StartRule
+from repro.obs.recorder import get_recorder
 from repro.systolic.engine import (
     TRACEBACK_SETUP_CYCLES,
     check_corner,
@@ -102,11 +101,11 @@ def _padded(n: int) -> int:
     return max(PAD_QUANTUM, -(-n // PAD_QUANTUM) * PAD_QUANTUM)
 
 
-def _per_pair(value: Any, n: int, name: str) -> List[int]:
-    """Normalize an int-or-sequence knob to one int per pair."""
-    if isinstance(value, (int, np.integer)):
-        return [int(value)] * n
-    values = [int(v) for v in value]
+def _per_pair(value: Any, n: int, name: str, single: bool) -> List[Any]:
+    """Normalize a one-or-one-per-pair knob to one value per pair."""
+    if single:
+        return [value] * n
+    values = list(value)
     if len(values) != n:
         raise ValueError(
             f"{name} sequence has {len(values)} entries for {n} pairs"
@@ -115,38 +114,33 @@ def _per_pair(value: Any, n: int, name: str) -> List[int]:
 
 
 def _batch_symbols(
-    spec: KernelSpec, sequences: Sequence[Sequence[Any]], pad_len: int
-) -> Any:
-    """Stack per-pair symbol operands into (B, pad_len) arrays.
+    spec: KernelSpec, sequences: Sequence[Sequence[Any]], pad_len: int,
+    reverse: bool = False,
+) -> np.ndarray:
+    """Stack per-pair symbol operands into one ``(..., B, pad_len)`` array
+    (struct alphabets get a leading field axis, so ``qry[k]`` is field k).
 
-    Shorter lanes' tails hold 0 — a valid gather index for sized alphabets, so
-    table lookups on masked-out lanes stay in range.
+    ``reverse`` stores each sequence backwards and right-aligned, which
+    turns "column ``d - i`` for ascending ``i``" into an ascending slice.
+    Padding holds 0 — a valid gather index for sized alphabets, so table
+    lookups on retired lanes stay in range.
     """
     alphabet = spec.alphabet
-    if alphabet.is_struct:
-        fields = []
-        for k in range(len(alphabet.fields)):
-            arr = np.zeros((len(sequences), pad_len), dtype=np.float64)
-            for b, seq in enumerate(sequences):
-                arr[b, : len(seq)] = [symbol[k] for symbol in seq]
-            fields.append(arr)
-        return tuple(fields)
     dtype = np.intp if alphabet.size else np.float64
-    arr = np.zeros((len(sequences), pad_len), dtype=dtype)
+    fields = (len(alphabet.fields),) if alphabet.is_struct else ()
+    arr = np.zeros(fields + (len(sequences), pad_len), dtype=dtype)
     for b, seq in enumerate(sequences):
-        arr[b, : len(seq)] = np.asarray(seq, dtype=dtype)
+        symbols = np.asarray(seq, dtype=dtype).T
+        if reverse:
+            arr[..., b, pad_len - len(seq) :] = symbols[..., ::-1]
+        else:
+            arr[..., b, : len(seq)] = symbols
     return arr
-
-
-def _take_batch(symbols: Any, idx: np.ndarray) -> Any:
-    if isinstance(symbols, tuple):
-        return tuple(field[:, idx] for field in symbols)
-    return symbols[:, idx]
 
 
 @dataclasses.dataclass
 class _Pair:
-    """One validated batch member plus its bucket coordinates."""
+    """One validated batch member."""
 
     query: Sequence[Any]
     reference: Sequence[Any]
@@ -154,9 +148,6 @@ class _Pair:
     n_cols: int
     row0: np.ndarray
     col0: np.ndarray
-    params: Any
-    bucket: Optional["_Bucket"] = None
-    lane: int = -1
 
 
 @dataclasses.dataclass
@@ -171,116 +162,128 @@ class _Bucket:
     n_rows: int = 0
     n_cols: int = 0
     pairs: List[_Pair] = dataclasses.field(default_factory=list)
-    work: Optional[np.ndarray] = None
+    #: per layer, skewed ``(B, rows, Q+2)``; ``rows = Q+R+1`` if kept, else 3
+    work: Optional[List[np.ndarray]] = None
     ptrs: Optional[np.ndarray] = None
-    computed: Optional[np.ndarray] = None
-    lane_cells: int = 0
-    padded_cells: int = 0
+    #: per lane, the score layer's (len_q, len_r) cell (``BOTTOM_RIGHT`` only)
+    corner: Optional[np.ndarray] = None
 
 
-def _sweep_bucket(spec: KernelSpec, bucket: _Bucket) -> None:
+def _sweep_bucket(
+    spec: KernelSpec, bucket: _Bucket, collect_matrix: bool
+) -> int:
     """Run one lockstep anti-diagonal sweep over a bucket's pairs.
 
-    Fills ``bucket.work`` / ``bucket.ptrs`` / ``bucket.computed`` with
-    per-pair-identical contents; never raises for a well-formed bucket
-    (per-pair failures surface later, in submission order, during
-    finishing).
+    Fills ``bucket.work`` / ``bucket.ptrs`` / ``bucket.corner`` and
+    returns the cells swept, padding included; never raises for a
+    well-formed bucket (per-pair failures surface later, in submission
+    order, during finishing).
     """
-    n_lanes = len(bucket.pairs)
+    pairs = bucket.pairs
+    n_lanes = len(pairs)
     n_layers = spec.n_layers
     sentinel = float(spec.sentinel())
     banding = spec.banding
     n_rows, n_cols = bucket.n_rows, bucket.n_cols
+    n_diags = n_rows + n_cols + 1
+    corner_rule = spec.start_rule is StartRule.BOTTOM_RIGHT
 
-    # Working matrices: float64 everywhere (exact for the <= 32-bit score
-    # types), out-of-band cells pinned at the sentinel so neighbour reads
-    # need no masking of their own.
-    work = np.full(
-        (n_layers, n_lanes, n_rows + 1, n_cols + 1), sentinel,
-        dtype=np.float64,
-    )
-    for b, pair in enumerate(bucket.pairs):
-        work[:, b, 0, : pair.n_cols + 1] = pair.row0.T
-        work[:, b, : pair.n_rows + 1, 0] = pair.col0.T
-        if banding is not None:
-            work[:, b, 0, banding + 1 :] = sentinel
-            work[:, b, banding + 1 :, 0] = sentinel
+    # Cells (0, d) and (d, 0) by diagonal: the pair's init row/column
+    # inside the pair and the band, the sentinel everywhere else.
+    row_init = np.full((n_diags, n_layers, n_lanes), sentinel)
+    col_init = np.full((n_diags, n_layers, n_lanes), sentinel)
+    for b, pair in enumerate(pairs):
+        row_init[: pair.n_cols + 1, :, b] = pair.row0
+        col_init[: pair.n_rows + 1, :, b] = pair.col0
+    if banding is not None:
+        row_init[banding + 1 :] = sentinel
+        col_init[banding + 1 :] = sentinel
 
+    # float64 everywhere (exact for the <= 32-bit score types);
+    # work[k][:, d % rows] is diagonal d of layer k.
+    work: List[np.ndarray] = []
+    for k in range(n_layers):
+        kept = collect_matrix or (k == spec.score_layer and not corner_rule)
+        buf = np.full(
+            (n_lanes, n_diags if kept else 3, n_rows + 2), sentinel
+        )
+        for d in (0, 1):
+            buf[:, d, 0] = row_init[d, k]
+            buf[:, d, d] = col_init[d, k]
+        work.append(buf)
     ptrs: Optional[np.ndarray] = None
-    if spec.has_traceback:
-        ptrs = np.zeros((n_lanes, n_rows + 1, n_cols + 1), dtype=np.int64)
-    computed = np.zeros((n_lanes, n_rows + 1, n_cols + 1), dtype=bool)
+    if spec.has_traceback:  # uint8 for every registered kernel
+        ptr_type = np.min_scalar_type((1 << spec.tb_ptr_bits) - 1)
+        ptrs = np.zeros((n_lanes, n_diags, n_rows + 2), dtype=ptr_type)
 
-    compiled = lower(spec, bucket.params)
+    pe = lower(spec, bucket.params).fn
     scalars, tables = runtime_params(bucket.params)
-    q_syms = _batch_symbols(
-        spec, [pair.query for pair in bucket.pairs], n_rows
-    )
+    q_syms = _batch_symbols(spec, [pair.query for pair in pairs], n_rows)
     r_syms = _batch_symbols(
-        spec, [pair.reference for pair in bucket.pairs], n_cols
+        spec, [pair.reference for pair in pairs], n_cols, reverse=True
     )
-    nq = np.asarray([pair.n_rows for pair in bucket.pairs])[:, None]
-    nr = np.asarray([pair.n_cols for pair in bucket.pairs])[:, None]
-    # A full bucket (every lane as long as the arrays) needs no mask: the
+    nq = np.asarray([pair.n_rows for pair in pairs])
+    nr = np.asarray([pair.n_cols for pair in pairs])
+    # A full bucket (every lane as long as the buffers) needs no mask: the
     # diagonal range below is then exactly each pair's own active set.
     ragged = bool((nq < n_rows).any() or (nr < n_cols).any())
+    row_index = np.arange(n_rows + 2)
+    row_valid = row_index <= nq[:, None]
+    corner = np.zeros(n_lanes)
+    corner_lanes: Dict[int, List[int]] = {}
+    if corner_rule:
+        for b, pair in enumerate(pairs):
+            corner_lanes.setdefault(pair.n_rows + pair.n_cols, []).append(b)
     quantize_array = spec.score_type.quantize_array
-    pe = compiled.fn
 
-    padded_cells = 0
-    for d in range(2, n_rows + n_cols + 1):
+    # No lane has a cell past its own corner's diagonal, and past
+    # 2 * min(Q, R) + W every cell is below or right of the band.
+    last = int((nq + nr).max())
+    if banding is not None:
+        last = min(last, 2 * min(n_rows, n_cols) + banding)
+    swept = 0
+    for d in range(2, last + 1):
         ilo = max(1, d - n_cols)
         ihi = min(n_rows, d - 1)
         if banding is not None:
             # |i - (d - i)| <= W  <=>  (d - W) / 2 <= i <= (d + W) / 2
             ilo = max(ilo, (d - banding + 1) // 2)
             ihi = min(ihi, (d + banding) // 2)
-        if ilo > ihi:
-            continue
-        i = np.arange(ilo, ihi + 1)
-        j = d - i
-        shape = (n_lanes, len(i))
-        mask = None
-        if ragged:
-            # restores the per-pair  i >= d - n_cols  and  i <= n_rows
-            # limits the bucket's larger arrays relaxed; masked lanes are
-            # shorter pairs that already retired on this diagonal
-            mask = (i[None, :] <= nq) & (j[None, :] <= nr)
-            if not mask.any():
-                continue
-        i1, j1 = i - 1, j - 1
-        up = tuple(work[k][:, i1, j] for k in range(n_layers))
-        diag = tuple(work[k][:, i1, j1] for k in range(n_layers))
-        left = tuple(work[k][:, i, j1] for k in range(n_layers))
+        cur, up, diag, left = [], [], [], []
+        for k, buf in enumerate(work):
+            rows = buf.shape[1]
+            cur_k, prev = buf[:, d % rows], buf[:, (d - 1) % rows]
+            cur_k[:, ilo - 1] = row_init[d, k]
+            cur_k[:, ihi + 1] = col_init[d, k]
+            cur.append(cur_k)
+            up.append(prev[:, ilo - 1 : ihi])
+            left.append(prev[:, ilo : ihi + 1])
+            diag.append(buf[:, (d - 2) % rows, ilo - 1 : ihi])
         scores, ptr = pe(
             up, diag, left,
-            _take_batch(q_syms, i1), _take_batch(r_syms, j1),
+            q_syms[..., ilo - 1 : ihi],
+            r_syms[..., n_cols - d + ilo : n_cols - d + ihi + 1],
             scalars, tables,
         )
-        for k in range(n_layers):
-            out_k = np.broadcast_to(
-                np.asarray(scores[k], dtype=np.float64), shape
+        if ragged:
+            # the per-pair  i <= len_q  and  i >= d - len_r  limits the
+            # larger buffers relaxed; retired lanes are zeroed *before*
+            # quantizing (see the module docstring)
+            mask = row_valid[:, ilo : ihi + 1] & (
+                row_index[ilo : ihi + 1] >= d - nr[:, None]
             )
-            if mask is None:
-                work[k][:, i, j] = quantize_array(out_k)
-            else:
-                # zero the discarded lanes *before* quantizing so wrap-mode
-                # int conversion never sees values a real pair cannot reach
-                quantized = quantize_array(np.where(mask, out_k, 0.0))
-                work[k][:, i, j] = np.where(mask, quantized, work[k][:, i, j])
+            scores = [np.where(mask, out, 0.0) for out in scores]
+        for cur_k, out in zip(cur, scores):
+            cur_k[:, ilo : ihi + 1] = quantize_array(out)
         if ptrs is not None:
-            ptr_b = np.broadcast_to(np.asarray(ptr), shape)
-            if mask is not None:
-                ptr_b = np.where(mask, ptr_b, ptrs[:, i, j])
-            ptrs[:, i, j] = ptr_b
-        computed[:, i, j] = True if mask is None else mask
-        padded_cells += n_lanes * len(i)
+            ptrs[:, d, ilo : ihi + 1] = ptr
+        lanes = corner_lanes.get(d)
+        if lanes is not None:
+            corner[lanes] = cur[spec.score_layer][lanes, nq[lanes]]
+        swept += ihi - ilo + 1
 
-    bucket.work = work
-    bucket.ptrs = ptrs
-    bucket.computed = computed
-    bucket.lane_cells = int(np.count_nonzero(computed))
-    bucket.padded_cells = padded_cells
+    bucket.work, bucket.ptrs, bucket.corner = work, ptrs, corner
+    return n_lanes * swept
 
 
 def compiled_align_batch(
@@ -304,22 +307,16 @@ def compiled_align_batch(
     exception the systolic engine would raise for the first failing
     pair in submission order.
     """
-    recorder = get_recorder()
     pairs = list(pairs)
     if not pairs:
         return []
-    if not recorder.enabled:
-        return _batch_impl(
-            spec, pairs, params, n_pe, ii, max_query_len, max_ref_len,
-            collect_matrix, model_interface, recorder,
-        )
-    with recorder.span(
+    with get_recorder().span(  # a shared no-op when nobody is recording
         "engine.align_batch", kernel=spec.name, pairs=len(pairs),
         backend="compiled",
     ):
         return _batch_impl(
             spec, pairs, params, n_pe, ii, max_query_len, max_ref_len,
-            collect_matrix, model_interface, recorder,
+            collect_matrix, model_interface,
         )
 
 
@@ -351,93 +348,95 @@ def compiled_align(
 def _batch_impl(
     spec: KernelSpec,
     pairs: List[Tuple[Sequence[Any], Sequence[Any]]],
-    params: Any,
-    n_pe: Any,
-    ii: Any,
-    max_query_len: Optional[int],
-    max_ref_len: Optional[int],
-    collect_matrix: bool,
-    model_interface: bool,
-    recorder: Recorder,
+    params: Any, n_pe: Any, ii: Any,
+    max_query_len: Optional[int], max_ref_len: Optional[int],
+    collect_matrix: bool, model_interface: bool,
 ) -> List[AlignmentResult]:
+    recorder = get_recorder()
     n_pairs = len(pairs)
     if params is None:
-        params_list: List[Any] = [spec.default_params] * n_pairs
-    elif dataclasses.is_dataclass(params):
-        params_list = [params] * n_pairs
-    else:
-        params_list = list(params)
-        if len(params_list) != n_pairs:
-            raise ValueError(
-                f"params sequence has {len(params_list)} entries for "
-                f"{n_pairs} pairs"
-            )
-    n_pe_list = _per_pair(n_pe, n_pairs, "n_pe")
-    ii_list = _per_pair(ii, n_pairs, "ii")
+        params = spec.default_params
+    params_list = _per_pair(
+        params, n_pairs, "params", dataclasses.is_dataclass(params)
+    )
+    ints = (int, np.integer)
+    n_pe_list = _per_pair(n_pe, n_pairs, "n_pe", isinstance(n_pe, ints))
+    ii_list = _per_pair(ii, n_pairs, "ii", isinstance(ii, ints))
 
     # Validate in submission order so the first bad pair raises exactly
-    # what the engine would have raised on it alone.
-    members: List[_Pair] = []
+    # what the engine would have raised on it alone.  Init rows depend on
+    # (params, shape) only: each distinct key is evaluated and
+    # corner-checked once, at its first member.  Buckets are keyed by
+    # (params identity, padded shape) and swept in first-seen order;
+    # ``placed`` maps submission index to (bucket, lane) one way only, so
+    # no reference cycle keeps a sweep's buffers alive past this call —
+    # the streaming pipeline's bounded-memory guarantee depends on them
+    # dying before the next chunk allocates its own.
+    inits: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+    buckets: Dict[Tuple[int, int, int], _Bucket] = {}
+    placed: List[Tuple[_Bucket, int]] = []
     for (query, reference), pair_params in zip(pairs, params_list):
         n_rows, n_cols = len(query), len(reference)
         max_q = max_query_len if max_query_len is not None else n_rows
         max_r = max_ref_len if max_ref_len is not None else n_cols
         validate_pair(spec, query, reference, max_q, max_r)
-        row0 = spec.init_row_scores(pair_params, n_cols + 1)
-        col0 = spec.init_col_scores(pair_params, n_rows + 1)
-        check_corner(spec, row0, col0)
-        members.append(_Pair(
-            query=query, reference=reference,
-            n_rows=n_rows, n_cols=n_cols,
-            row0=row0, col0=col0, params=pair_params,
-        ))
-
-    # Bucket by (params identity, padded shape); insertion order keeps
-    # the sweep sequence deterministic.
-    param_slots: Dict[int, int] = {}
-    buckets: Dict[Tuple[int, int, int], _Bucket] = {}
-    for member in members:
-        slot = param_slots.setdefault(id(member.params), len(param_slots))
-        key = (slot, _padded(member.n_rows), _padded(member.n_cols))
+        shape = (id(pair_params), n_rows, n_cols)
+        if shape not in inits:
+            row0 = spec.init_row_scores(pair_params, n_cols + 1)
+            col0 = spec.init_col_scores(pair_params, n_rows + 1)
+            check_corner(spec, row0, col0)
+            inits[shape] = (row0, col0)
+        key = (id(pair_params), _padded(n_rows), _padded(n_cols))
         bucket = buckets.get(key)
         if bucket is None:
-            bucket = buckets[key] = _Bucket(params=member.params)
-        bucket.n_rows = max(bucket.n_rows, member.n_rows)
-        bucket.n_cols = max(bucket.n_cols, member.n_cols)
-        member.bucket = bucket
-        member.lane = len(bucket.pairs)
-        bucket.pairs.append(member)
+            bucket = buckets[key] = _Bucket(params=pair_params)
+        bucket.n_rows = max(bucket.n_rows, n_rows)
+        bucket.n_cols = max(bucket.n_cols, n_cols)
+        placed.append((bucket, len(bucket.pairs)))
+        bucket.pairs.append(
+            _Pair(query, reference, n_rows, n_cols, *inits[shape])
+        )
 
-    for bucket in buckets.values():
-        _sweep_bucket(spec, bucket)
+    padded_cells = sum(
+        _sweep_bucket(spec, bucket, collect_matrix)
+        for bucket in buckets.values()
+    )
 
     # Per-pair finishing in submission order (start rule, traceback,
-    # cycle model, optional matrix) on each pair's own slice.
+    # cycle model, optional matrix) on each pair's own un-skewed view.
+    corner_rule = spec.start_rule is StartRule.BOTTOM_RIGHT
+    need_cells = collect_matrix or not corner_rule or recorder.enabled
+    cells_of: Dict[Tuple[int, int], np.ndarray] = {}
     results: List[AlignmentResult] = []
     total_wavefronts = 0
-    for index, member in enumerate(members):
-        bucket = member.bucket
-        lane = member.lane
+    lane_cells = 0
+    for index, (bucket, lane) in enumerate(placed):
+        member = bucket.pairs[lane]
         n_rows, n_cols = member.n_rows, member.n_cols
-        layer = bucket.work[spec.score_layer, lane, : n_rows + 1, : n_cols + 1]
-        computed = bucket.computed[lane, : n_rows + 1, : n_cols + 1]
-        raw_score, start = select_start(spec, layer, computed, n_rows, n_cols)
+        shape = (n_rows, n_cols)
+        if need_cells and shape not in cells_of:
+            cells_of[shape] = computed_cells(n_rows, n_cols, spec.banding)
+        computed = cells_of.get(shape)
+        if corner_rule:
+            raw_score, start = bucket.corner[lane], (n_rows, n_cols)
+        else:
+            raw_score, start = select_start(
+                spec,
+                unskew(bucket.work[spec.score_layer][lane], n_rows, n_cols),
+                computed,
+            )
         score = spec.quantize(float(raw_score))
-        alignment = None
-        traceback_cycles = 0
+        alignment, end, traceback_cycles = None, (0, 0), 0
         if bucket.ptrs is not None:
             alignment = walk_traceback(
-                spec,
-                _DensePointerStore(
-                    bucket.ptrs[lane, : n_rows + 1, : n_cols + 1]
-                ),
-                start,
+                spec, SkewedPointers(bucket.ptrs[lane]), start
             )
+            end = (alignment.query_start, alignment.ref_start)
             traceback_cycles = (
                 alignment.aligned_length + TRACEBACK_SETUP_CYCLES
             )
         cycles = cycle_report(
-            spec, n_rows, n_cols, n_pe_list[index], ii_list[index],
+            spec, n_rows, n_cols, int(n_pe_list[index]), int(ii_list[index]),
             traceback_cycles, model_interface,
         )
         total_wavefronts += cycles.wavefronts
@@ -445,31 +444,17 @@ def _batch_impl(
         if collect_matrix:
             matrix = assemble_matrix(
                 spec, member.row0, member.col0,
-                bucket.work[:, lane, : n_rows + 1, : n_cols + 1],
+                [unskew(buf[lane], n_rows, n_cols) for buf in bucket.work],
                 computed,
             )
-        if alignment is not None:
-            end = (alignment.query_start, alignment.ref_start)
-        else:
-            end = (0, 0)
+        if recorder.enabled:
+            lane_cells += int(np.count_nonzero(computed))
         results.append(AlignmentResult(
             score=score, start=start, end=end,
             alignment=alignment, cycles=cycles, matrix=matrix,
         ))
 
-    # Break the _Pair <-> _Bucket reference cycles so each sweep's dense
-    # matrices free on refcount rather than waiting for a gc pass; the
-    # streaming pipeline's bounded-memory guarantee depends on wavefront
-    # buffers dying before the next chunk allocates its own.
-    for member in members:
-        member.bucket = None
-    for bucket in buckets.values():
-        bucket.pairs.clear()
-        bucket.work = bucket.ptrs = bucket.computed = None
-
     if recorder.enabled:
-        lane_cells = sum(b.lane_cells for b in buckets.values())
-        padded_cells = sum(b.padded_cells for b in buckets.values())
         recorder.count("engine.alignments", n_pairs)
         recorder.count("engine.wavefronts", total_wavefronts)
         recorder.count("engine.cells", lane_cells)

@@ -1,73 +1,88 @@
 """Per-matrix finishing shared by every compiled alignment.
 
-The anti-diagonal sweep itself lives in :mod:`repro.backend.batch` —
-there is exactly one, and ``compiled_align`` is a batch of one through
-it.  This module holds what each swept DP matrix needs afterwards, on
-its own ``(n_rows+1, n_cols+1)`` slice: the start-cell search, the
-pointer-matrix view the traceback walker reads, the collected-matrix
-assembly, and the bit-identical :class:`~repro.core.result.CycleReport`
-reconstructed from the closed-form chunk schedule instead of simulated
-cycle by cycle.
+The one anti-diagonal sweep lives in :mod:`repro.backend.batch` and
+stores each matrix *skewed*, one row per anti-diagonal (cell ``(i, j)``
+at ``[i + j, i]``).  This module holds what a swept matrix needs
+afterwards: its row-major view, the closed form of the cells a sweep
+computes, the start-cell search, the pointer reader behind the traceback
+walker, the collected-matrix assembly, and the bit-identical
+:class:`~repro.core.result.CycleReport` from the closed-form wavefront
+count instead of a cycle-by-cycle simulation.
 
-Bit-identity note (enforced by ``repro.verify_fuzz``'s four-way
-differential and ``tests/test_backend_equivalence.py``): the start-cell
-search restricts ``argmax``/``argmin`` to a computed mask, and NumPy's
-first-occurrence tie rule on the row-major flattened matrix equals the
-engine's smallest-(i, j) tie break.
+Bit-identity note (``repro.verify_fuzz``'s four-way differential and
+``tests/test_backend_equivalence.py``): the start-cell search restricts
+``argmax``/``argmin`` to the computed cells, and NumPy's first-occurrence
+tie rule on the row-major matrix is the engine's smallest-(i, j) tie
+break.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import CycleReport
 from repro.core.spec import KernelSpec, Objective, StartRule
-from repro.systolic.engine import (
-    INTERFACE_CYCLES_PER_BASE,
-    SystolicAlignmentError,
-)
-from repro.systolic.schedule import chunk_schedules
+from repro.systolic.engine import INTERFACE_CYCLES_PER_BASE
+from repro.systolic.schedule import count_wavefronts
 from repro.systolic.traceback import TracebackError
 
 
-class _DensePointerStore:
-    """Dense pointer matrix behind the traceback walker's read API.
+def unskew(diagonals: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Row-major ``(n_rows+1, n_cols+1)`` view of one skewed matrix.
+
+    ``diagonals[d, i]`` holds cell ``(i, d - i)``, so stepping ``i`` moves
+    one row down *and* one column right in storage and stepping ``j`` one
+    row down: a pure stride change, no copy.
+    """
+    per_diag, per_row = diagonals.strides
+    return np.lib.stride_tricks.as_strided(
+        diagonals, (n_rows + 1, n_cols + 1), (per_diag + per_row, per_diag),
+        writeable=False,
+    )
+
+
+def computed_cells(
+    n_rows: int, n_cols: int, banding: Optional[int]
+) -> np.ndarray:
+    """Mask of the cells a sweep computes: ``1 <= i <= Q``, ``1 <= j <= R``
+    and ``|i - j| <= W`` — everything else is init row/column or sentinel."""
+    i, j = np.ogrid[: n_rows + 1, : n_cols + 1]
+    cells = (i > 0) & (j > 0)
+    if banding is not None:
+        cells &= np.abs(i - j) <= banding
+    return cells
+
+
+class SkewedPointers:
+    """One lane's skewed pointer rows behind the traceback walker's read API.
 
     Unwritten cells read as 0, matching both the oracle's zero-filled
     pointer matrix and the engine's zero-initialised banked memory.
     """
 
     def __init__(self, ptrs: np.ndarray):
-        self._ptrs = ptrs
+        self._ptrs = memoryview(ptrs)  # indexes straight to a Python int
 
     def read(self, i: int, j: int) -> int:
-        return int(self._ptrs[i, j])
+        """The pointer stored for matrix cell (i, j)."""
+        return self._ptrs[i + j, i]
 
 
 def select_start(
-    spec: KernelSpec,
-    layer: np.ndarray,
-    computed: np.ndarray,
-    n_rows: int,
-    n_cols: int,
+    spec: KernelSpec, layer: np.ndarray, computed: np.ndarray
 ) -> Tuple[float, Tuple[int, int]]:
     """Locate the reported score / traceback start cell of one matrix.
 
-    ``layer`` and ``computed`` are the score layer and computed-cell mask
-    of one (n_rows+1, n_cols+1) DP matrix.  NumPy's first-occurrence tie
-    rule over the row-major flattened matrix equals the engine's
-    smallest-(i, j) tie break, and a per-pair slice of a bucket's arrays
-    keeps that (i, j)-lexicographic row-major order.
+    ``layer`` and ``computed`` are the (un-skewed) score layer and
+    computed-cell mask of one (n_rows+1, n_cols+1) DP matrix, for any
+    start rule but ``BOTTOM_RIGHT`` (whose corner the sweep captures
+    itself).  NumPy's first-occurrence tie rule over the row-major
+    flattened matrix equals the engine's smallest-(i, j) tie break.
     """
-    if spec.start_rule is StartRule.BOTTOM_RIGHT:
-        if not computed[n_rows, n_cols]:
-            raise SystolicAlignmentError(
-                f"{spec.name}: bottom-right cell was never computed"
-            )
-        return layer[n_rows, n_cols], (n_rows, n_cols)
+    n_rows, n_cols = layer.shape[0] - 1, layer.shape[1] - 1
     eligible = computed.copy()
     if spec.start_rule is StartRule.LAST_ROW_MAX:
         eligible[:n_rows, :] = False
@@ -101,10 +116,9 @@ def cycle_report(
     """Closed-form :class:`CycleReport` of one pair on the modelled array.
 
     The same arithmetic the systolic engine accumulates while running,
-    reconstructed from the chunk schedule.
+    reconstructed from the closed-form wavefront count.
     """
-    chunks = chunk_schedules(n_rows, n_cols, n_pe, spec.banding)
-    total_wavefronts = sum(len(chunk.wavefronts) for chunk in chunks)
+    total_wavefronts = count_wavefronts(n_rows, n_cols, n_pe, spec.banding)
     if spec.start_rule is StartRule.BOTTOM_RIGHT:
         reduction_cycles = 0
     else:
@@ -128,16 +142,15 @@ def assemble_matrix(
     spec: KernelSpec,
     row0: np.ndarray,
     col0: np.ndarray,
-    work: np.ndarray,
+    layers: Sequence[np.ndarray],
     computed: np.ndarray,
 ) -> np.ndarray:
     """Collected DP matrix: dtype inferred from the sentinel (int64 for
     ap_int kernels), init row/col *unmasked* — same construction as the
-    engine and oracle."""
-    sentinel = spec.sentinel()
-    matrix = np.full(work.shape, sentinel)
+    engine and oracle.  ``layers`` are the (un-skewed) swept layers."""
+    matrix = np.full((len(layers),) + computed.shape, spec.sentinel())
     matrix[:, 0, :] = row0.T
     matrix[:, :, 0] = col0.T
-    for k in range(spec.n_layers):
-        matrix[k][computed] = work[k][computed].astype(matrix.dtype)
+    for k, layer in enumerate(layers):
+        matrix[k][computed] = layer[computed].astype(matrix.dtype)
     return matrix

@@ -14,7 +14,12 @@ has a correct systolic dataflow by construction.
 """
 
 from repro.systolic.engine import SystolicAlignmentError, align
-from repro.systolic.schedule import ChunkSchedule, chunk_schedules, count_cycles
+from repro.systolic.schedule import (
+    ChunkSchedule,
+    chunk_schedules,
+    count_cycles,
+    count_wavefronts,
+)
 from repro.systolic.tb_memory import TracebackMemory
 from repro.systolic.traceback import BestCellTracker, TracebackError, walk_traceback
 
@@ -24,6 +29,7 @@ __all__ = [
     "ChunkSchedule",
     "chunk_schedules",
     "count_cycles",
+    "count_wavefronts",
     "TracebackMemory",
     "BestCellTracker",
     "TracebackError",

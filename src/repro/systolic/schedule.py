@@ -45,6 +45,13 @@ def _wavefront_active(
     return False
 
 
+def _check_geometry(n_rows: int, n_cols: int, n_pe: int) -> None:
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError(f"matrix must be at least 1x1, got {n_rows}x{n_cols}")
+    if n_pe < 1:
+        raise ValueError(f"n_pe must be >= 1, got {n_pe}")
+
+
 def chunk_schedules(
     n_rows: int, n_cols: int, n_pe: int, banding: Optional[int] = None
 ) -> List[ChunkSchedule]:
@@ -52,10 +59,7 @@ def chunk_schedules(
 
     ``n_rows`` = query length Q, ``n_cols`` = reference length R.
     """
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError(f"matrix must be at least 1x1, got {n_rows}x{n_cols}")
-    if n_pe < 1:
-        raise ValueError(f"n_pe must be >= 1, got {n_pe}")
+    _check_geometry(n_rows, n_cols, n_pe)
     chunks: List[ChunkSchedule] = []
     for base in range(0, n_rows, n_pe):
         rows = min(n_pe, n_rows - base)
@@ -72,6 +76,33 @@ def chunk_schedules(
     return chunks
 
 
+def count_wavefronts(
+    n_rows: int, n_cols: int, n_pe: int, banding: Optional[int] = None
+) -> int:
+    """``sum(len(c.wavefronts) for c in chunk_schedules(...))`` in closed form.
+
+    Wavefront ``w`` of a chunk is anti-diagonal ``d = base + w + 2``
+    clipped to the chunk's rows, so it is issued iff the row interval
+    ``[max(base+1, d-R, ceil((d-W)/2)), min(base+rows, d-1, floor((d+W)/2))]``
+    is non-empty.  Requiring every lower bound <= every upper bound turns
+    that into an interval of ``d`` (even ``d`` only when ``W == 0``), so
+    each chunk costs O(1) instead of one ``band_contains`` per cell.
+    """
+    _check_geometry(n_rows, n_cols, n_pe)
+    total = 0
+    for base in range(0, n_rows, n_pe):
+        last_row = min(base + n_pe, n_rows)
+        if banding is None:
+            total += n_cols + last_row - base - 1
+            continue
+        lo = max(base + 2, 2 * base + 2 - banding)
+        hi = min(last_row + n_cols, 2 * min(n_cols, last_row) + banding)
+        if banding == 0:  # odd diagonals hold no |i - j| <= 0 cell
+            lo, hi = (lo + 1) // 2, hi // 2
+        total += max(0, hi - lo + 1)
+    return total
+
+
 def count_cycles(
     n_rows: int,
     n_cols: int,
@@ -85,7 +116,4 @@ def count_cycles(
     symbol (each chunk serially loads its rows' symbols into the PEs,
     which DP-HLS does not overlap with computation — Section 7.3).
     """
-    chunks = chunk_schedules(n_rows, n_cols, n_pe, banding)
-    compute = sum(len(c.wavefronts) for c in chunks) * ii
-    load = sum(c.rows for c in chunks)
-    return compute, load
+    return count_wavefronts(n_rows, n_cols, n_pe, banding) * ii, n_rows

@@ -19,6 +19,7 @@ and the ``DeviceRuntime.run`` plumbing (whole batch first, per-pair for
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,71 @@ class TestBatchedBitIdentity:
             "engine.batch.lane_cells"
         ]
         assert 0.0 <= gauges["engine.batch.waste_frac"] < 1.0
+
+
+def _with_band(kid, banding):
+    """A registered banded kernel re-cut to another band half-width."""
+    spec = get_kernel(kid)
+    return dataclasses.replace(
+        spec, name=f"{spec.name}_w{banding}", banding=banding
+    )
+
+
+class TestSkewedStorage:
+    """Edge cases of the diagonal-major layout, against the engine."""
+
+    #: (kernel id, band override or None, [(n_rows, n_cols), ...])
+    CASES = {
+        "one_row": (1, None, [(1, 23)]),
+        "one_col": (4, None, [(23, 1)]),
+        "tall_ragged_bucket": (6, None, [(40, 3), (35, 1), (38, 2)]),
+        "wide_ragged_bucket": (7, None, [(3, 40), (1, 35), (2, 38)]),
+        # the narrowest band KernelSpec admits (0 is rejected, and the
+        # engine's registers go stale across its empty odd diagonals)
+        "band_one_ragged": (12, 1, [(24, 24), (19, 22), (22, 19)]),
+        # the short lane's corner is on diagonal 84; the long lane keeps
+        # sweeping in-band cells up to diagonal 96
+        "short_lane_retires_in_band": (11, 3, [(48, 48), (41, 43)]),
+        "band_wider_than_matrix": (13, 64, [(20, 17), (18, 17)]),
+        "struct_profile_ragged": (8, None, [(21, 30), (17, 26), (21, 25)]),
+        "struct_signal_ragged": (9, None, [(30, 21), (26, 17)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_against_engine_with_matrices(self, case):
+        kid, banding, shapes = self.CASES[case]
+        spec = get_kernel(kid) if banding is None else _with_band(kid, banding)
+        pairs = _shaped_batch(kid, shapes)
+        batched = compiled_align_batch(
+            spec, pairs, n_pe=4, collect_matrix=True
+        )
+        for (query, reference), result in zip(pairs, batched):
+            assert_same_result(
+                _single(spec, query, reference, 4, collect_matrix=True),
+                result, collect_matrix=True,
+            )
+        # the rolling three-diagonal path (nothing collected) agrees too
+        for kept, rolled in zip(
+            batched, compiled_align_batch(spec, pairs, n_pe=4)
+        ):
+            assert_same_result(kept, rolled)
+
+    def test_three_live_diagonals(self):
+        """A score-only, corner-start kernel never holds a whole matrix:
+        32 x 256^2 row-major float64 layers were 50 MB; three diagonals
+        per layer plus operands stay under 8 MB."""
+        spec = get_kernel(10)
+        assert not spec.has_traceback
+        pairs = _shaped_batch(10, [(256, 256)] * 32)
+        compiled_align_batch(spec, pairs[:2])  # lower outside the window
+        tracemalloc.start()
+        try:
+            results = compiled_align_batch(spec, pairs, collect_matrix=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 32
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestBatchExceptionParity:

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.systolic.schedule import chunk_schedules, count_cycles
+from repro.systolic.schedule import (
+    chunk_schedules,
+    count_cycles,
+    count_wavefronts,
+)
 
 
 def enumerate_cells(chunks, n_cols):
@@ -109,3 +113,49 @@ class TestCountCycles:
         full, _ = count_cycles(64, 64, 16)
         banded, _ = count_cycles(64, 64, 16, banding=8)
         assert banded < full
+
+
+class TestCountWavefronts:
+    """The closed form equals the enumerated schedule it replaces."""
+
+    @staticmethod
+    def enumerated(n, m, n_pe, banding):
+        return sum(
+            len(c.wavefronts) for c in chunk_schedules(n, m, n_pe, banding)
+        )
+
+    @given(
+        st.integers(1, 48), st.integers(1, 48), st.integers(1, 64),
+        st.one_of(st.none(), st.integers(0, 60)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_chunk_schedules(self, n, m, n_pe, banding):
+        assert count_wavefronts(n, m, n_pe, banding) == self.enumerated(
+            n, m, n_pe, banding
+        )
+
+    @pytest.mark.parametrize("shape", [
+        (9, 9, 4, 0),     # banding 0: odd anti-diagonals are empty
+        (7, 12, 3, 0),
+        (12, 7, 3, 0),
+        (5, 20, 32, 2),   # n_pe > Q: one short chunk
+        (1, 1, 1, 0),
+        (1, 30, 4, 3),    # chunks wholly below the band issue nothing
+        (30, 1, 4, 3),
+        (40, 8, 4, 2),
+        (33, 35, 8, 1),
+    ])
+    def test_edge_shapes(self, shape):
+        assert count_wavefronts(*shape) == self.enumerated(*shape)
+
+    def test_count_cycles_uses_it(self):
+        for banding in (None, 0, 5):
+            compute, load = count_cycles(37, 29, 8, ii=3, banding=banding)
+            assert compute == 3 * self.enumerated(37, 29, 8, banding)
+            assert load == 37
+
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            count_wavefronts(0, 5, 4)
+        with pytest.raises(ValueError):
+            count_cycles(5, 5, 0)
