@@ -7,17 +7,16 @@ sample for DTW, a frequency column for profile alignment), and — for
 discrete alphabets — how many distinct symbols exist.
 
 Struct symbols are represented at runtime as plain tuples whose positions
-are named by :attr:`Alphabet.fields`; during datapath tracing the same
-positions are populated with :class:`~repro.core.trace.TracedValue`
-operands of the declared field widths.
+are named by :attr:`Alphabet.fields`; during expression tracing
+(:func:`repro.core.spec.trace_pe`) the same positions hold one
+:class:`~repro.core.expr.ExprValue` leaf each, costed at the declared
+field width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Tuple
-
-from repro.core.trace import DatapathGraph, TracedValue
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,6 @@ class Alphabet:
     def is_struct(self) -> bool:
         """Whether symbols are tuples of named components."""
         return bool(self.fields)
-
-    def traced_symbol(self, graph: DatapathGraph) -> Any:
-        """Build the symbolic operand a traced ``PE_func`` receives."""
-        if not self.is_struct:
-            return TracedValue(graph, self.storage_bits)
-        return tuple(TracedValue(graph, bits) for _name, bits in self.fields)
 
     def validate_symbol(self, symbol: Any) -> bool:
         """Lightweight runtime check that ``symbol`` matches the alphabet."""

@@ -1,44 +1,46 @@
-"""Expression tracing — the third execution mode of ``PE_func``.
+"""The PE expression DAG — the one symbolic form of a ``PE_func``.
 
 :mod:`repro.core.ops` runs kernel recurrences in two modes: functional
-simulation (plain numbers) and datapath tracing
-(:class:`~repro.core.trace.TracedValue`, which records operator *statistics*
-for the synthesis models but deliberately forgets dataflow).  The compiled
-wavefront backend (:mod:`repro.backend`) needs the dataflow itself: which
-operator feeds which, all the way from the PE inputs to the per-layer
-scores and the packed traceback pointer.
-
-:class:`ExprValue` is that third operand kind.  Every arithmetic operator,
+simulation (plain numbers) and expression tracing.  In the second every
+PE input is an :class:`ExprValue` leaf, and each arithmetic operator,
 comparison and :mod:`~repro.core.ops` helper applied to one builds a
-:class:`Node` in a shared expression DAG instead of computing a number.
-Running ``pe_func`` once over ``ExprValue`` inputs therefore yields a
-complete, closed-form description of the recurrence, which
-:mod:`repro.backend.compiler` lowers to a vectorized NumPy function
-operating on whole anti-diagonals.
+:class:`Node` in a shared DAG instead of computing a number.
+:func:`repro.core.spec.trace_pe` runs ``pe_func`` once that way and keeps
+the output roots — per-layer scores and the packed traceback pointer.
 
-The same rules as datapath tracing apply: kernels must not branch on data
-(``__bool__`` raises), must use :func:`~repro.core.ops.select` instead of
-``if``, and :func:`~repro.core.ops.eq` instead of ``==``.
+Both back-ends read that one DAG: :mod:`repro.core.datapath` walks it for
+the operator counts, bit-widths and logic depth the synthesis models
+(:mod:`repro.synth`) cost, and :mod:`repro.backend.compiler` emits it as
+a vectorized NumPy function over whole anti-diagonals.
+
+Kernels must not branch on data (``__bool__`` raises): they use
+:func:`~repro.core.ops.select` instead of ``if`` and
+:func:`~repro.core.ops.eq` instead of ``==``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-#: Node operators understood by the backend emitter.  ``in`` nodes carry a
-#: source string (``up[0]``, ``qry``, ``p['match']``, ...); ``gather`` nodes
-#: index a parameter table with const/int or symbol operands.
-_BINOPS = ("add", "sub", "mul", "lt", "le", "gt", "ge", "eq",
-           "maximum", "minimum")
-_UNOPS = ("abs", "neg")
+import numpy as np
 
 
 class ExprError(TypeError):
-    """An operation the compiled backend cannot lower."""
+    """A ``pe_func`` construct that has no node in the expression DAG."""
+
+
+def is_scalar(value: Any) -> bool:
+    """A plain number or a NumPy 0-d one (``np.int64(2)``, ``np.asarray(2.0)``)."""
+    return isinstance(value, (int, float, np.number)) or (
+        isinstance(value, np.ndarray) and value.ndim == 0
+    )
 
 
 class Node:
     """One operator (or leaf) of a traced PE expression DAG.
+
+    ``in`` leaves carry a source string (``up[0]``, ``qry``, ``p['match']``);
+    ``gather`` nodes index the parameter table named by ``source``.
 
     Nodes are identity-hashed: the emitter assigns one NumPy statement per
     distinct node, so values reused by the recurrence (the running ``best``
@@ -64,11 +66,13 @@ class Node:
 
 def const(value: Any) -> Node:
     """A literal operand (gap penalties folded into the recurrence, tags)."""
-    if not isinstance(value, (int, float, bool)):
+    if not is_scalar(value):
         raise ExprError(
-            f"cannot lower constant of type {type(value).__name__!r}; "
+            f"cannot trace constant of type {type(value).__name__!r}; "
             f"PE functions may only mix expressions with plain numbers"
         )
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.item()
     return Node("const", (value,))
 
 
@@ -94,53 +98,45 @@ class ExprValue:
         """A PE input leaf (``up[0]``, ``qry``, ``p['match']``, ...)."""
         return cls(Node("in", (), source=source))
 
-    def _bin(self, op: str, other: Any, reflected: bool = False) -> "ExprValue":
-        a, b = as_node(other if reflected else self), None
-        if reflected:
-            b = self.node
-        else:
-            b = as_node(other)
-        return ExprValue(Node(op, (a, b)))
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Any) -> "ExprValue":
-        return self._bin("add", other)
+        return apply("add", self, other)
 
     def __radd__(self, other: Any) -> "ExprValue":
-        return self._bin("add", other, reflected=True)
+        return apply("add", other, self)
 
     def __sub__(self, other: Any) -> "ExprValue":
-        return self._bin("sub", other)
+        return apply("sub", self, other)
 
     def __rsub__(self, other: Any) -> "ExprValue":
-        return self._bin("sub", other, reflected=True)
+        return apply("sub", other, self)
 
     def __mul__(self, other: Any) -> "ExprValue":
-        return self._bin("mul", other)
+        return apply("mul", self, other)
 
     def __rmul__(self, other: Any) -> "ExprValue":
-        return self._bin("mul", other, reflected=True)
+        return apply("mul", other, self)
 
     def __neg__(self) -> "ExprValue":
-        return ExprValue(Node("neg", (self.node,)))
+        return apply("neg", self)
 
     def __abs__(self) -> "ExprValue":
-        return ExprValue(Node("abs", (self.node,)))
+        return apply("abs", self)
 
     # -- comparisons (strict semantics match the scalar engine) --------
 
     def __lt__(self, other: Any) -> "ExprValue":
-        return self._bin("lt", other)
+        return apply("lt", self, other)
 
     def __le__(self, other: Any) -> "ExprValue":
-        return self._bin("le", other)
+        return apply("le", self, other)
 
     def __gt__(self, other: Any) -> "ExprValue":
-        return self._bin("gt", other)
+        return apply("gt", self, other)
 
     def __ge__(self, other: Any) -> "ExprValue":
-        return self._bin("ge", other)
+        return apply("ge", self, other)
 
     # NOTE: __eq__ is deliberately *not* overloaded.  Kernels must use
     # ops.eq() for symbol equality; leaving the default identity semantics
@@ -149,32 +145,22 @@ class ExprValue:
     def __bool__(self) -> bool:
         raise ExprError(
             "PE functions must not branch on data values; use "
-            "repro.core.ops.select instead of if/and/or"
+            "repro.core.ops.select(cond, a, b) instead of if/and/or so "
+            "the datapath stays a multiplexer"
         )
 
 
-def select_expr(cond: Any, if_true: Any, if_false: Any) -> ExprValue:
-    """Multiplexer node (``np.where`` after lowering)."""
-    return ExprValue(Node("where", (as_node(cond), as_node(if_true),
-                                    as_node(if_false))))
+def apply(op: str, *operands: Any) -> ExprValue:
+    """The ``op`` node over ``operands`` (expressions or plain numbers)."""
+    return ExprValue(Node(op, tuple(as_node(v) for v in operands)))
 
 
-def fold_expr(values: Tuple[Any, ...], op: str) -> ExprValue:
+def fold(op: str, values: Tuple[Any, ...]) -> ExprValue:
     """Chained binary max/min — value-equivalent to Python max()/min()."""
-    result = as_node(values[0])
+    result = values[0]
     for value in values[1:]:
-        result = Node(op, (result, as_node(value)))
-    return ExprValue(result)
-
-
-def abs_expr(value: Any) -> ExprValue:
-    """Absolute-value node (``np.abs`` after lowering)."""
-    return ExprValue(Node("abs", (as_node(value),)))
-
-
-def eq_expr(a: Any, b: Any) -> ExprValue:
-    """Symbol-equality node (elementwise ``==`` after lowering)."""
-    return ExprValue(Node("eq", (as_node(a), as_node(b))))
+        result = apply(op, result, value)
+    return result
 
 
 class ExprTable:
@@ -183,9 +169,10 @@ class ExprTable:
     Supports the partial-indexing protocol :func:`repro.core.ops.lookup`
     uses (``table[i0][i1]...``): each ``__getitem__`` consumes one
     dimension; once every dimension is indexed the result collapses to an
-    :class:`ExprValue` gather node.  Runtime indices must be input symbols
-    or constants — arbitrary computed indices are outside the supported
-    spec surface (see docs/backends.md).
+    :class:`ExprValue` gather node.  An index may be any expression: the
+    synthesis models cost one ROM port per runtime index, while the
+    compiled backend lowers symbol or constant indices only (see
+    docs/backends.md).
     """
 
     __slots__ = ("name", "shape", "indices")
@@ -201,14 +188,7 @@ class ExprTable:
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, ExprValue):
-            node = index.node
-            if node.op not in ("in", "const"):
-                raise ExprError(
-                    f"table {self.name!r} indexed by a computed expression; "
-                    f"the compiled backend only supports symbol or constant "
-                    f"table indices"
-                )
-            idx = node
+            idx = index.node
         elif isinstance(index, (int, bool)):
             idx = const(int(index))
         else:

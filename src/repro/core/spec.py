@@ -22,13 +22,21 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.alphabet import Alphabet
+from repro.core.datapath import DatapathSummary, summarize
+from repro.core.expr import (
+    ExprError,
+    ExprTable,
+    ExprValue,
+    Node,
+    as_node,
+    is_scalar,
+)
 from repro.core.result import Move
-from repro.core.trace import DatapathGraph, TracedTable, TracedValue
 from repro.hdl_types import ApFixedType, ApIntType
 
 #: Standard traceback pointer encodings shared by all kernels.  Kernels with
@@ -199,58 +207,110 @@ class KernelSpec:
         return scores
 
     # ------------------------------------------------------------------
-    # datapath tracing (consumed by the synthesis models)
+    # datapath summary (consumed by the synthesis models)
     # ------------------------------------------------------------------
-    def trace_datapath(self) -> DatapathGraph:
-        """Run ``pe_func`` symbolically and return its datapath graph."""
-        graph = DatapathGraph()
-        width = self.score_type.width
-
-        def layer_inputs() -> Tuple[TracedValue, ...]:
-            return tuple(TracedValue(graph, width) for _ in range(self.n_layers))
-
-        cell = PEInput(
-            up=layer_inputs(),
-            diag=layer_inputs(),
-            left=layer_inputs(),
-            qry=self.alphabet.traced_symbol(graph),
-            ref=self.alphabet.traced_symbol(graph),
-            params=wrap_params(self.default_params, graph, width),
-        )
-        scores, _ptr = self.pe_func(cell)
-        if len(scores) != self.n_layers:
-            raise ValueError(
-                f"{self.name}: pe_func produced {len(scores)} layers, "
-                f"expected {self.n_layers}"
+    def trace_datapath(self) -> DatapathSummary:
+        """Operator counts, widths and logic depth of ``pe_func``'s DAG."""
+        trace = trace_pe(self)
+        key = (trace, self.score_type.width, self.alphabet.storage_bits)
+        if key not in _SUMMARIES:
+            symbol_bits = {}
+            for prefix in ("qry", "ref"):
+                symbol_bits[prefix] = self.alphabet.storage_bits
+                for k, (_name, bits) in enumerate(self.alphabet.fields):
+                    symbol_bits[f"{prefix}[{k}]"] = bits
+            _SUMMARIES[key] = summarize(
+                (*trace.scores, trace.ptr), self.score_type.width, symbol_bits
             )
-        return graph
+        return _SUMMARIES[key]
 
 
-def wrap_params(params: Any, graph: DatapathGraph, width: int) -> Any:
-    """Build a traced mirror of a ScoringParams dataclass.
+#: One entry per ScoringParams field: ``(name, "scalar")`` or
+#: ``(name, "table", shape)``.
+ParamSignature = Tuple[Tuple[Any, ...], ...]
 
-    Scalar fields become :class:`TracedValue` operands; array/nested-list
-    fields become :class:`TracedTable` ROMs.  The mirror exposes the same
-    attribute names so ``pe_func`` code is oblivious to the mode it runs in.
-    """
+
+def param_signature(params: Any) -> ParamSignature:
+    """Classify parameter fields: numbers (NumPy 0-d ones included) are
+    runtime scalars, sequences and arrays are lookup tables."""
     if not dataclasses.is_dataclass(params):
-        raise TypeError(
+        raise ExprError(
             f"ScoringParams must be a dataclass instance, got {type(params)!r}"
         )
-    mirror: dict = {}
+    signature: List[Tuple[Any, ...]] = []
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, (int, float)):
-            mirror[f.name] = TracedValue(graph, width)
+        if is_scalar(value):
+            signature.append((f.name, "scalar"))
         elif isinstance(value, (list, tuple, np.ndarray)):
-            shape = np.asarray(value).shape
-            mirror[f.name] = TracedTable(graph, shape, width)
+            signature.append((f.name, "table", np.asarray(value).shape))
         else:
-            raise TypeError(
+            raise ExprError(
                 f"unsupported ScoringParams field {f.name!r} of type "
                 f"{type(value)!r}"
             )
-    return SimpleNamespace(**mirror)
+    return tuple(signature)
+
+
+@dataclass(frozen=True, eq=False)
+class PETrace:
+    """The output roots of one symbolic ``pe_func`` run, as DAG nodes."""
+
+    scores: Tuple[Node, ...]
+    ptr: Node
+    signature: ParamSignature
+
+
+#: (pe_func, n_layers, alphabet identity, param signature) -> PETrace.
+_TRACES: Dict[Tuple, PETrace] = {}
+#: (trace, score width, symbol storage bits) -> its cost summary.
+_SUMMARIES: Dict[Tuple, DatapathSummary] = {}
+
+
+def trace_pe(spec: KernelSpec, params: Any = None) -> PETrace:
+    """Run ``spec.pe_func`` once over :class:`ExprValue` inputs.
+
+    The only place ``pe_func`` sees symbolic operands: the synthesis models
+    (:meth:`KernelSpec.trace_datapath`) and the compiled backend
+    (:func:`repro.backend.compiler.lower`) both read the memoised result.
+    Leaves are named as the generated code addresses them: ``up[k]``,
+    ``qry`` or ``qry[k]`` for struct symbols, ``p['name']`` for scalar
+    parameters; array parameters become :class:`ExprTable` ROMs.
+    """
+    signature = param_signature(
+        spec.default_params if params is None else params
+    )
+    alphabet = spec.alphabet
+    key = (spec.pe_func, spec.n_layers, alphabet.name, alphabet.fields,
+           signature)
+    cached = _TRACES.get(key)
+    if cached is not None:
+        return cached
+    leaf = ExprValue.input
+
+    def bundle(prefix: str, n: int) -> Tuple[ExprValue, ...]:
+        return tuple(leaf(f"{prefix}[{k}]") for k in range(n))
+
+    mirror = {
+        entry[0]: leaf(f"p[{entry[0]!r}]") if entry[1] == "scalar"
+        else ExprTable(entry[0], entry[2])
+        for entry in signature
+    }
+    n, fields = spec.n_layers, len(alphabet.fields)
+    scores, ptr = spec.pe_func(PEInput(
+        up=bundle("up", n), diag=bundle("diag", n), left=bundle("left", n),
+        qry=bundle("qry", fields) if fields else leaf("qry"),
+        ref=bundle("ref", fields) if fields else leaf("ref"),
+        params=SimpleNamespace(**mirror),
+    ))
+    if len(scores) != n:
+        raise ValueError(
+            f"{spec.name}: pe_func produced {len(scores)} layers, expected {n}"
+        )
+    # setdefault: racing threads agree on one trace (lower() memoises on it)
+    return _TRACES.setdefault(key, PETrace(
+        tuple(as_node(s) for s in scores), as_node(ptr), signature
+    ))
 
 
 def band_contains(banding: Optional[int], i: int, j: int) -> bool:

@@ -1,8 +1,8 @@
 """The "synthesis" entry point: spec + launch configuration -> report.
 
 :func:`synthesize` plays the role of the Vitis HLS synthesis /
-implementation / co-simulation flow of Fig. 2A: it traces the kernel's
-datapath once, derives II and Fmax, estimates one block's resources,
+implementation / co-simulation flow of Fig. 2A: it reads the kernel's
+datapath summary, derives II and Fmax, estimates one block's resources,
 scales them across the N_B x N_K parallel blocks, checks device
 feasibility, and evaluates the cycle/throughput model at the configured
 maximum sequence lengths.
@@ -129,18 +129,16 @@ def synthesize(
 ) -> SynthesisReport:
     """Run the modelled synthesis flow for one kernel configuration."""
     config = config or LaunchConfig()
-    graph = spec.trace_datapath()
-    ii = estimate_ii(spec, graph)
+    ii = estimate_ii(spec)
     fmax = min(
         config.target_mhz,
-        estimate_fmax_mhz(spec, graph, use_calibration=use_calibration),
+        estimate_fmax_mhz(spec, use_calibration=use_calibration),
     )
     block = estimate_resources(
         spec,
         config.n_pe,
         max_query_len=config.max_query_len,
         max_ref_len=config.max_ref_len,
-        graph=graph,
     )
     total = block.scaled(config.n_blocks)
     cycles = cycles_per_alignment(

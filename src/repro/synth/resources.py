@@ -1,4 +1,4 @@
-"""Resource estimation: traced datapath + memory geometry -> LUT/FF/BRAM/DSP.
+"""Resource estimation: datapath summary + memory geometry -> LUT/FF/BRAM/DSP.
 
 The model keeps the structural drivers the paper identifies in Section 7.1:
 
@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.datapath import OpKind
 from repro.core.spec import KernelSpec, StartRule
-from repro.core.trace import DatapathGraph, OpKind
 
 # -- technology constants ----------------------------------------------------
 
@@ -128,29 +128,16 @@ def _tb_bank_geometry(spec: KernelSpec, n_pe: int, max_q: int, max_r: int):
     return depth, spec.tb_ptr_bits
 
 
-def _rom_entries(spec: KernelSpec) -> int:
-    """Total entries of runtime-indexed parameter tables (per ROM port)."""
-    graph = spec.trace_datapath()
-    rom_ports = graph.count(OpKind.ROM)
-    if rom_ports == 0:
-        return 0
-    # Discrete alphabets index matrices sized alphabet.size ** ports-depth;
-    # approximate with size^2 (all our matrix ROMs are 2-D).
-    size = spec.alphabet.size or 4
-    return size * size
-
-
 def estimate_resources(
     spec: KernelSpec,
     n_pe: int,
     max_query_len: int = 256,
     max_ref_len: int = 256,
-    graph: DatapathGraph = None,
 ) -> ResourceEstimate:
     """Estimate one block's LUT/FF/BRAM/DSP for ``n_pe`` PEs."""
     if n_pe < 1:
         raise ValueError(f"n_pe must be >= 1, got {n_pe}")
-    graph = graph or spec.trace_datapath()
+    datapath = spec.trace_datapath()
     width = spec.score_type.width
     has_tracker = spec.start_rule is not StartRule.BOTTOM_RIGHT
     banded = spec.banding is not None
@@ -158,7 +145,7 @@ def estimate_resources(
     # ---- per-PE logic ----------------------------------------------------
     lut_pe = PE_CONTROL_LUT
     ff_pe = PE_CONTROL_FF
-    for (kind, op_width), count in graph.op_counts.items():
+    for (kind, op_width), count in datapath.op_counts.items():
         lut_pe += LUT_PER_BIT[kind] * op_width * count
         ff_pe += FF_PER_OP_BIT * op_width * count
     # Dataflow registers: left/diag/output per layer, plus symbol and pointer.
@@ -172,7 +159,11 @@ def estimate_resources(
         ff_pe += BANDING_FF
 
     # ---- ROMs (substitution / emission matrices) --------------------------
-    rom_entries = _rom_entries(spec)
+    # Entries per ROM port: discrete alphabets index matrices sized
+    # alphabet.size ** dimensions; all our matrix ROMs are 2-D.
+    rom_entries = 0
+    if datapath.count(OpKind.ROM):
+        rom_entries = (spec.alphabet.size or 4) ** 2
     rom_bram18 = 0
     if rom_entries:
         rom_bits = rom_entries * width
@@ -183,7 +174,7 @@ def estimate_resources(
 
     # ---- DSPs --------------------------------------------------------------
     dsp_pe = sum(
-        dsp_for_multiplier(wa, wb) for (wa, wb) in graph.multiplier_instances()
+        dsp_for_multiplier(wa, wb) for (wa, wb) in datapath.multiplier_instances()
     )
     # Fixed multipliers pre-computing traceback addresses (Section 7.2).
     dsp_fixed = 2 if spec.has_traceback else 1

@@ -11,20 +11,20 @@ generate loop over N_B.
 
 The emitted text is structural documentation (and a target for tests that
 assert the systolic topology), not synthesizable logic: PE internals are
-summarised as operator counts from the datapath trace.
+summarised as operator counts from the datapath summary.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.core.datapath import OpKind
 from repro.core.spec import KernelSpec
-from repro.core.trace import OpKind
 from repro.synth.compiler import LaunchConfig
 
 
 def _pe_module(spec: KernelSpec, score_bits: int) -> List[str]:
-    graph = spec.trace_datapath()
+    datapath = spec.trace_datapath()
     char_bits = spec.alphabet.storage_bits
     lines = [
         f"module {spec.name}_pe #(",
@@ -51,12 +51,12 @@ def _pe_module(spec: KernelSpec, score_bits: int) -> List[str]:
         "    output reg  [TB_W-1:0]           tb_ptr",
         ");",
         "    // datapath summary (from the traced PE function):",
-        f"    //   adders        : {graph.count(OpKind.ADD)}",
-        f"    //   multipliers   : {graph.count(OpKind.MUL)}",
-        f"    //   comparators   : {graph.count(OpKind.CMP)}",
-        f"    //   multiplexers  : {graph.count(OpKind.MUX)}",
-        f"    //   ROM ports     : {graph.count(OpKind.ROM)}",
-        f"    //   logic depth   : {graph.critical_depth:.1f} levels",
+        f"    //   adders        : {datapath.count(OpKind.ADD)}",
+        f"    //   multipliers   : {datapath.count(OpKind.MUL)}",
+        f"    //   comparators   : {datapath.count(OpKind.CMP)}",
+        f"    //   multiplexers  : {datapath.count(OpKind.MUX)}",
+        f"    //   ROM ports     : {datapath.count(OpKind.ROM)}",
+        f"    //   logic depth   : {datapath.critical_depth:.1f} levels",
         "endmodule",
     ]
     return lines

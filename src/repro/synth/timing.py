@@ -8,7 +8,7 @@ Two rules drive the model, matching the paper's observations:
   (#8 profile, #9 DTW) pay the DSP pipeline latency: II = 4; everything
   else achieves II = 1 (Section 7.1 reports exactly II = 4 for #8).
 * **Fmax** — deeper combinational paths close timing at lower clocks.
-  An *effective delay* combines traced logic depth with bit-width, ROM
+  An *effective delay* combines the datapath's logic depth with bit-width, ROM
   access, extra layers and banding control, then snaps to the discrete
   grid Table 2 exhibits.  A calibration table pins the 15 published
   kernels to their measured closure (HLS timing is famously quirky);
@@ -17,10 +17,8 @@ Two rules drive the model, matching the paper's observations:
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.core.datapath import OpKind
 from repro.core.spec import KernelSpec
-from repro.core.trace import DatapathGraph, OpKind
 from repro.synth.calibration import CALIBRATED_FMAX_MHZ
 from repro.synth.device import FREQUENCY_GRID_MHZ
 
@@ -35,12 +33,12 @@ _FMAX_THRESHOLDS = ((10.0, 250.0), (14.0, 200.0), (18.0, 166.7), (22.0, 150.0))
 _FMAX_FLOOR = 125.0
 
 
-def effective_delay(spec: KernelSpec, graph: Optional[DatapathGraph] = None) -> float:
+def effective_delay(spec: KernelSpec) -> float:
     """Abstract critical-path length of one ``PE_func`` evaluation."""
-    graph = graph or spec.trace_datapath()
-    delay = graph.critical_depth
+    datapath = spec.trace_datapath()
+    delay = datapath.critical_depth
     delay += _WIDTH_WEIGHT * spec.score_type.width
-    if graph.count(OpKind.ROM):
+    if datapath.count(OpKind.ROM):
         delay += _ROM_PENALTY
     if spec.banding is not None:
         delay += _BANDING_PENALTY
@@ -48,21 +46,16 @@ def effective_delay(spec: KernelSpec, graph: Optional[DatapathGraph] = None) -> 
     return delay
 
 
-def estimate_ii(spec: KernelSpec, graph: Optional[DatapathGraph] = None) -> int:
+def estimate_ii(spec: KernelSpec) -> int:
     """Initiation interval of the wavefront loop."""
-    graph = graph or spec.trace_datapath()
-    return 4 if graph.count(OpKind.MUL) > 0 else 1
+    return 4 if spec.trace_datapath().count(OpKind.MUL) > 0 else 1
 
 
-def estimate_fmax_mhz(
-    spec: KernelSpec,
-    graph: Optional[DatapathGraph] = None,
-    use_calibration: bool = True,
-) -> float:
+def estimate_fmax_mhz(spec: KernelSpec, use_calibration: bool = True) -> float:
     """Achievable clock frequency, snapped to the device grid."""
     if use_calibration and spec.name in CALIBRATED_FMAX_MHZ:
         return CALIBRATED_FMAX_MHZ[spec.name]
-    delay = effective_delay(spec, graph)
+    delay = effective_delay(spec)
     for threshold, fmax in _FMAX_THRESHOLDS:
         if delay <= threshold:
             return fmax

@@ -1,5 +1,7 @@
 """Tests for alphabets and symbol encodings."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.alphabet import (
@@ -15,7 +17,37 @@ from repro.core.alphabet import (
     encode_dna,
     encode_protein,
 )
-from repro.core.trace import DatapathGraph, TracedValue
+from repro.core.datapath import OpKind
+from repro.core.expr import ExprValue
+from repro.core.spec import KernelSpec, Objective
+from repro.hdl_types import ap_int
+from repro.kernels.common import zero_init
+
+
+@dataclass(frozen=True)
+class _NoParams:
+    pass
+
+
+def trace_symbols(alphabet, score):
+    """Trace a one-layer toy kernel whose score is ``score(qry, ref)``.
+
+    Returns the query operand ``pe_func`` saw and the datapath summary.
+    """
+    seen = []
+
+    def pe(cell):
+        seen.append(cell.qry)
+        return (score(cell.qry, cell.ref),), 0
+
+    spec = KernelSpec(
+        name="toy", kernel_id=99, alphabet=alphabet, score_type=ap_int(16),
+        n_layers=1, objective=Objective.MAXIMIZE, pe_func=pe,
+        init_row=zero_init(1), init_col=zero_init(1),
+        default_params=_NoParams(),
+    )
+    datapath = spec.trace_datapath()
+    return seen[0], datapath
 
 
 class TestEncodings:
@@ -57,17 +89,15 @@ class TestAlphabetDescriptors:
         assert names == ["re", "im"]
 
     def test_traced_scalar_symbol(self):
-        g = DatapathGraph()
-        sym = DNA.traced_symbol(g)
-        assert isinstance(sym, TracedValue)
-        assert sym.width == 2
+        sym, datapath = trace_symbols(DNA, lambda q, r: q + r)
+        assert isinstance(sym, ExprValue)
+        assert datapath.op_counts == {(OpKind.ADD, 2): 1}
 
     def test_traced_struct_symbol(self):
-        g = DatapathGraph()
-        sym = COMPLEX_SIGNAL.traced_symbol(g)
+        sym, datapath = trace_symbols(COMPLEX_SIGNAL, lambda q, r: q[0] - r[0])
         assert isinstance(sym, tuple) and len(sym) == 2
-        assert all(isinstance(f, TracedValue) for f in sym)
-        assert sym[0].width == 24
+        assert all(isinstance(f, ExprValue) for f in sym)
+        assert datapath.op_counts == {(OpKind.ADD, 24): 1}
 
     def test_validate_scalar(self):
         assert DNA.validate_symbol(3)

@@ -136,7 +136,7 @@ class TestProteinProfileKernel:
 
     def test_dsp_appetite_scales_with_channels(self):
         """21-channel profiles need ~(21^2+21) multipliers per PE."""
-        from repro.core.trace import OpKind
+        from repro.core.datapath import OpKind
 
         graph = PROFILE_PROTEIN.trace_datapath()
         assert graph.count(OpKind.MUL) == 21 * 21 + 21

@@ -13,9 +13,9 @@ from repro.core.spec import (
     StartRule,
     TracebackSpec,
     band_contains,
-    wrap_params,
+    trace_pe,
 )
-from repro.core.trace import DatapathGraph, TracedTable, TracedValue
+from repro.core.expr import ExprTable, ExprValue
 from repro.hdl_types import ap_int
 from repro.kernels.common import linear_tb, zero_init
 from repro.kernels.global_linear import SPEC as NW_SPEC
@@ -112,21 +112,36 @@ class TestInitValidation:
         assert scores.shape == (5, 1)
 
 
+def traced_params(params):
+    """The parameter mirror ``pe_func`` sees during expression tracing."""
+    seen = []
+
+    def pe(cell):
+        seen.append(cell.params)
+        return (cell.diag[0],), 0
+
+    trace_pe(make_spec(pe_func=pe, default_params=params))
+    return seen[0]
+
+
 class TestWrapParams:
     def test_scalar_field_traced(self):
-        g = DatapathGraph()
-        mirror = wrap_params(_Params(), g, 16)
-        assert isinstance(mirror.match, TracedValue)
+        assert isinstance(traced_params(_Params()).match, ExprValue)
 
     def test_table_field_traced(self):
-        g = DatapathGraph()
-        mirror = wrap_params(_Params(), g, 16)
-        assert isinstance(mirror.table, TracedTable)
+        mirror = traced_params(_Params())
+        assert isinstance(mirror.table, ExprTable)
         assert mirror.table.shape == (2, 2)
+
+    def test_numpy_scalar_field_is_a_scalar(self):
+        mirror = traced_params(_Params(match=np.int64(2)))
+        assert isinstance(mirror.match, ExprValue)
+        mirror = traced_params(_Params(match=np.asarray(2.5)))
+        assert isinstance(mirror.match, ExprValue)
 
     def test_non_dataclass_rejected(self):
         with pytest.raises(TypeError):
-            wrap_params({"match": 1}, DatapathGraph(), 16)
+            traced_params({"match": 1})
 
     def test_unsupported_field_rejected(self):
         @dataclass
@@ -134,13 +149,25 @@ class TestWrapParams:
             thing: object = object()
 
         with pytest.raises(TypeError):
-            wrap_params(Bad(), DatapathGraph(), 16)
+            traced_params(Bad())
 
 
 class TestTraceDatapath:
     def test_real_kernel_traces(self):
         graph = NW_SPEC.trace_datapath()
         assert graph.critical_depth > 0
+
+    def test_traced_once_per_spec(self):
+        calls = []
+
+        def pe(cell):
+            calls.append(cell)
+            return (cell.diag[0] + cell.params.match,), 0
+
+        spec = make_spec(pe_func=pe)
+        assert spec.trace_datapath() is spec.trace_datapath()
+        assert trace_pe(spec) is trace_pe(spec, _Params(match=7))
+        assert len(calls) == 1
 
     def test_layer_count_checked(self):
         spec = make_spec(n_layers=2, init_row=zero_init(2), init_col=zero_init(2))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trace import OpKind
+from repro.core.datapath import OpKind
 from repro.kernels import KERNELS, get_kernel
 from repro.synth import LaunchConfig, estimate_resources, synthesize
 from repro.synth.compiler import max_parallel_blocks
