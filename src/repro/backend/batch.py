@@ -42,7 +42,9 @@ whatever else shares its batch.  The argument:
   ``engine.batch.*`` counters and the ``waste_frac`` gauge);
 * the band range at diagonal ``d`` depends on ``d`` alone; in a *full*
   bucket (every lane as long as the buffers) it is each pair's own
-  active set, and ``quantize_array`` equals the scalar ``quantize``;
+  active set, and ``quantize_array`` equals the scalar ``quantize`` on
+  ``int32`` buffers (when :func:`_working_dtype` proves them exact) as on
+  ``float64`` ones;
 * in a *ragged* bucket a shorter lane's cells with ``i > len_q`` or
   ``j > len_r`` are garbage — and unreachable: a valid cell reads
   ``(i-1, j)``, ``(i, j-1)``, ``(i-1, j-1)``, indices only decrease, so
@@ -58,8 +60,8 @@ whatever else shares its batch.  The argument:
 * traceback walks the pair's own pointer rows (never-written cells read
   0); the cycle model is closed-form per pair.
 
-Full or ragged is read off the bucket's own lengths, never set by a
-caller — see ``docs/backends.md``.
+Full or ragged, ``int32`` or ``float64``: both are read off the bucket
+itself, never set by a caller — see ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ from repro.backend.wavefront import (
     select_start,
     unskew,
 )
+from repro.core.datapath import value_bounds
 from repro.core.result import AlignmentResult
-from repro.core.spec import KernelSpec, StartRule
+from repro.core.spec import KernelSpec, StartRule, trace_pe
+from repro.hdl_types import ApIntType
 from repro.obs.recorder import get_recorder
 from repro.systolic.engine import (
     TRACEBACK_SETUP_CYCLES,
@@ -138,6 +142,39 @@ def _batch_symbols(
     return arr
 
 
+def _int_range(values: Any) -> Optional[Tuple[int, int]]:
+    """(min, max) of values that are all 32-bit integers, else ``None``."""
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size or (values != np.trunc(values)).any():
+        return None
+    lo, hi = values.min(), values.max()
+    return (int(lo), int(hi)) if -(2.0 ** 31) <= lo and hi < 2.0 ** 31 else None
+
+
+def _working_dtype(spec: KernelSpec, params: Any, init: np.ndarray) -> type:
+    """``int32`` when this bucket provably computes the engine's values in
+    it — an ``ap_int`` type of at most 16 bits, integral parameters and
+    boundary cells (``init``: init rows/columns, the sentinel) and, inputs
+    bounded by those and the type's range, every operator of the PE DAG
+    within 31 bits — else ``float64``, exact for every <= 32-bit type.
+    """
+    score_type = spec.score_type
+    if not isinstance(score_type, ApIntType) or score_type.width > 16:
+        return np.float64
+    ends = score_type.min_value, score_type.max_value
+    cells = _int_range(np.append(init, ends))
+    leaves = {f"{side}[{k}]": cells for side in ("up", "diag", "left")
+              for k in range(spec.n_layers)}
+    for kind, values in zip("pt", runtime_params(params, np.float64)):
+        leaves.update((f"{kind}[{k!r}]", _int_range(v)) for k, v in values.items())
+    trace = trace_pe(spec, params)
+    exact = None not in leaves.values() and all(
+        node.op in ("const", "in") or (b and -(1 << 30) <= b[0] and b[1] < 1 << 30)
+        for node, b in value_bounds((*trace.scores, trace.ptr), leaves).items()
+    )
+    return np.int32 if exact else np.float64
+
+
 @dataclasses.dataclass
 class _Pair:
     """One validated batch member."""
@@ -175,14 +212,14 @@ def _sweep_bucket(
     """Run one lockstep anti-diagonal sweep over a bucket's pairs.
 
     Fills ``bucket.work`` / ``bucket.ptrs`` / ``bucket.corner`` and
-    returns the cells swept, padding included; never raises for a
-    well-formed bucket (per-pair failures surface later, in submission
+    returns the cells swept, padding included; raises only for a pointer
+    beyond ``tb_ptr_bits`` (per-pair failures surface later, in submission
     order, during finishing).
     """
     pairs = bucket.pairs
     n_lanes = len(pairs)
     n_layers = spec.n_layers
-    sentinel = float(spec.sentinel())
+    sentinel = spec.sentinel()
     banding = spec.banding
     n_rows, n_cols = bucket.n_rows, bucket.n_cols
     n_diags = n_rows + n_cols + 1
@@ -190,34 +227,35 @@ def _sweep_bucket(
 
     # Cells (0, d) and (d, 0) by diagonal: the pair's init row/column
     # inside the pair and the band, the sentinel everywhere else.
-    row_init = np.full((n_diags, n_layers, n_lanes), sentinel)
-    col_init = np.full((n_diags, n_layers, n_lanes), sentinel)
+    init = np.full((2, n_diags, n_layers, n_lanes), float(sentinel))
+    row_init, col_init = init
     for b, pair in enumerate(pairs):
         row_init[: pair.n_cols + 1, :, b] = pair.row0
         col_init[: pair.n_rows + 1, :, b] = pair.col0
     if banding is not None:
-        row_init[banding + 1 :] = sentinel
-        col_init[banding + 1 :] = sentinel
+        init[:, banding + 1 :] = sentinel
 
-    # float64 everywhere (exact for the <= 32-bit score types);
-    # work[k][:, d % rows] is diagonal d of layer k.
+    # The working dtype is read off the bucket, like ragged below, never
+    # set by a caller; work[k][:, d % rows] is diagonal d of layer k.
+    kernel = lower(spec, bucket.params)
+    dtype = _working_dtype(spec, bucket.params, init)
+    row_init, col_init = init.astype(dtype, copy=False)
     work: List[np.ndarray] = []
     for k in range(n_layers):
         kept = collect_matrix or (k == spec.score_layer and not corner_rule)
         buf = np.full(
-            (n_lanes, n_diags if kept else 3, n_rows + 2), sentinel
+            (n_lanes, n_diags if kept else 3, n_rows + 2), sentinel, dtype
         )
         for d in (0, 1):
             buf[:, d, 0] = row_init[d, k]
             buf[:, d, d] = col_init[d, k]
         work.append(buf)
+    pe = kernel.fn
+    scalars, tables = runtime_params(bucket.params, dtype)
     ptrs: Optional[np.ndarray] = None
     if spec.has_traceback:  # uint8 for every registered kernel
-        ptr_type = np.min_scalar_type((1 << spec.tb_ptr_bits) - 1)
-        ptrs = np.zeros((n_lanes, n_diags, n_rows + 2), dtype=ptr_type)
-
-    pe = lower(spec, bucket.params).fn
-    scalars, tables = runtime_params(bucket.params)
+        max_ptr = (1 << spec.tb_ptr_bits) - 1
+        ptrs = np.zeros((n_lanes, n_diags, n_rows + 2), np.min_scalar_type(max_ptr))
     q_syms = _batch_symbols(spec, [pair.query for pair in pairs], n_rows)
     r_syms = _batch_symbols(
         spec, [pair.reference for pair in pairs], n_cols, reverse=True
@@ -229,7 +267,7 @@ def _sweep_bucket(
     ragged = bool((nq < n_rows).any() or (nr < n_cols).any())
     row_index = np.arange(n_rows + 2)
     row_valid = row_index <= nq[:, None]
-    corner = np.zeros(n_lanes)
+    corner = np.zeros(n_lanes, dtype)
     corner_lanes: Dict[int, List[int]] = {}
     if corner_rule:
         for b, pair in enumerate(pairs):
@@ -272,10 +310,17 @@ def _sweep_bucket(
             mask = row_valid[:, ilo : ihi + 1] & (
                 row_index[ilo : ihi + 1] >= d - nr[:, None]
             )
-            scores = [np.where(mask, out, 0.0) for out in scores]
+            scores = [np.where(mask, out, 0) for out in scores]
         for cur_k, out in zip(cur, scores):
             cur_k[:, ilo : ihi + 1] = quantize_array(out)
         if ptrs is not None:
+            if kernel.ptr_max is None or kernel.ptr_max > max_ptr:
+                # what TracebackMemory.write raises; PEs write last row first
+                bad = np.extract((ptr < 0) | (ptr > max_ptr), ptr)
+                if bad.size:
+                    raise ValueError(
+                        f"pointer {bad[-1]} does not fit in {spec.tb_ptr_bits} bits"
+                    )
             ptrs[:, d, ilo : ihi + 1] = ptr
         lanes = corner_lanes.get(d)
         if lanes is not None:

@@ -11,11 +11,16 @@ one function
 
 whose operands are whole *anti-diagonals* (NumPy arrays) instead of
 scalars; ``exec`` turns it into the callable
-:mod:`repro.backend.batch` sweeps over the matrix.  Because the
-emitted expression tree has exactly the shape the scalar engine
-evaluates (same operator order, same float64 arithmetic, same
-``np.where`` tie behaviour as ``select``), the results are bit-identical
-— the contract ``repro.verify_fuzz`` enforces as a three-way
+:mod:`repro.backend.batch` sweeps over the matrix.  The emitted
+expressions are the scalar engine's, in its operator order, after the two
+value-preserving rewrites HLS makes of the same source: a select between
+the operands of its own comparison is one ``np.maximum``/``np.minimum``
+(equal on a tie; only the sign of a float zero can differ, which nothing
+observes), and a pointer that is provably byte-sized arithmetic on
+comparison results runs in ``uint8``.  The source names no dtype — scores
+take that of the driver's buffers and :func:`runtime_params` operands —
+so one ``_pe`` serves ``int32`` and ``float64`` buckets, bit-identical to
+the engine: the contract ``repro.verify_fuzz`` enforces as a three-way
 differential.
 
 Specs outside the supported surface (non-dataclass params, table
@@ -27,10 +32,11 @@ raise :class:`UnsupportedSpecError` at compile time; see
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.datapath import COMPARISONS, value_bounds
 from repro.core.expr import ExprError, Node, is_scalar
 from repro.core.spec import KernelSpec, ParamSignature, PETrace, trace_pe
 
@@ -47,6 +53,8 @@ class CompiledKernel:
     fn: Any
     source: str
     param_signature: ParamSignature
+    #: static upper bound of the traceback pointer; ``None`` if unprovable
+    ptr_max: Optional[int] = None
 
 
 #: PETrace (one per pe_func × layers × alphabet × param signature) ->
@@ -69,6 +77,17 @@ _BINARY = {
 _UNARY = {"abs": "np.abs({})", "neg": "(-{})"}
 
 
+#: comparison -> what ``where(cmp(x, y), x, y)`` and, arms swapped,
+#: ``where(cmp(x, y), y, x)`` compute.
+_FUSED = {"gt": ("maximum", "minimum"), "ge": ("maximum", "minimum"),
+          "lt": ("minimum", "maximum"), "le": ("minimum", "maximum")}
+
+
+def _same(a: Node, b: Node) -> bool:
+    """One node, or two constants of one value (``v < 0`` / ``select(.., 0, v)``)."""
+    return a is b or (a.op == b.op == "const" and a.args == b.args)
+
+
 class _Emitter:
     """Post-order DAG walk assigning one statement per distinct node.
 
@@ -76,16 +95,34 @@ class _Emitter:
     running ``best`` of a compare-select cascade, a squared difference
     used twice — are computed once, exactly like the scalar evaluation
     that built the DAG.  Leaves and constants are named by their text.
+    A select in ``packed`` (see :func:`lower`) is ``uint8`` arithmetic.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, packed: Set[Node]) -> None:
         self.lines: List[str] = []
         self._names: Dict[Node, str] = {}
+        self._packed = packed
 
     def _assign(self, node: Node, text: str) -> str:
         name = self._names[node] = f"v{len(self.lines)}"
         self.lines.append(f"    {name} = {text}")
         return name
+
+    def _where(self, node: Node) -> str:
+        cond, a, b = node.args
+        if cond.op in _FUSED:
+            x, y = cond.args
+            for fused, (p, q) in zip(_FUSED[cond.op], ((x, y), (y, x))):
+                if _same(a, p) and _same(b, q):
+                    return f"np.{fused}({self.emit(x)}, {self.emit(y)})"
+        cond_text, a_text, b_text = (self.emit(arg) for arg in node.args)
+        if node in self._packed and cond.op in COMPARISONS:
+            bit = f"{cond_text}.view(np.uint8)"
+            if b.op != "const":  # exact modulo 2**8, which the result is inside
+                return f"({b_text} + {bit} * ({a_text} - {b_text}))"
+            if b_text == "0":
+                return bit if a_text == "1" else f"{bit} * {a_text}"
+        return f"np.where({cond_text}, {a_text}, {b_text})"
 
     def emit(self, node: Node) -> str:
         memo = self._names.get(node)
@@ -105,8 +142,7 @@ class _Emitter:
             idx = ", ".join(self.emit(arg) for arg in node.args)
             return self._assign(node, f"t[{node.source!r}][{idx}]")
         if node.op == "where":
-            cond, a, b = (self.emit(arg) for arg in node.args)
-            return self._assign(node, f"np.where({cond}, {a}, {b})")
+            return self._assign(node, self._where(node))
         if node.op in _BINARY:
             a, b = (self.emit(arg) for arg in node.args)
             return self._assign(node, _BINARY[node.op].format(a, b))
@@ -129,7 +165,20 @@ def lower(spec: KernelSpec, params: Any = None) -> CompiledKernel:
     if cached is not None:
         return cached
 
-    emitter = _Emitter()
+    # Leaf-free bounds hold whatever the parameters.  If everything from the
+    # pointer down to its comparisons has one inside a byte, uint8 is exact.
+    bounds = value_bounds([trace.ptr], {})
+    packed: Set[Node] = set()
+    stack = [trace.ptr]
+    while stack:
+        node = stack.pop()
+        packed.add(node)
+        if node.op not in (*COMPARISONS, "const"):  # below them: scores
+            stack.extend(node.args)
+    if any(not (b and 0 <= b[0] <= b[1] < 256) for b in map(bounds.get, packed)):
+        packed.clear()
+    ptr_bounds = bounds[trace.ptr]
+    emitter = _Emitter(packed)
     score_texts = [emitter.emit(node) for node in trace.scores]
     ptr_text = emitter.emit(trace.ptr)
     source = "\n".join(
@@ -146,6 +195,7 @@ def lower(spec: KernelSpec, params: Any = None) -> CompiledKernel:
         fn=namespace["_pe"],
         source=source,
         param_signature=trace.signature,
+        ptr_max=ptr_bounds[1] if ptr_bounds and ptr_bounds[0] >= 0 else None,
     )
     _CACHE[trace] = compiled
     return compiled
@@ -166,14 +216,15 @@ def prewarm(spec: KernelSpec, params: Any = None) -> bool:
     return True
 
 
-def runtime_params(params: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Split a ScoringParams instance into (scalar dict, table dict)."""
+def runtime_params(params: Any, dtype: type) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Split a ScoringParams instance into (scalar dict, table dict), typed
+    ``dtype`` so ``_pe`` stays in the sweep's working dtype."""
     scalars: Dict[str, Any] = {}
     tables: Dict[str, Any] = {}
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
         if is_scalar(value):
-            scalars[f.name] = value
+            scalars[f.name] = dtype(value)
         else:
-            tables[f.name] = np.asarray(value, dtype=np.float64)
+            tables[f.name] = np.asarray(value, dtype=dtype)
     return scalars, tables

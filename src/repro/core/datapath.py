@@ -9,12 +9,15 @@ the widest non-constant operand and placed at an abstract logic depth.
 
 The summary is consumed by :mod:`repro.synth.resources` (operator counts ×
 bit-widths → LUT/FF/DSP) and :mod:`repro.synth.timing` (critical-path depth →
-initiation interval and Fmax).
+initiation interval and Fmax).  :func:`value_bounds` is the other walk: every
+node's integer range, which sizes the compiled backend's dtype and pointers.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -140,3 +143,49 @@ def summarize(
     for root in roots:
         visit(root)
     return summary
+
+
+#: Closed integer range ``(lo, hi)``; ``None``: not provably an integer.
+Bounds = Optional[Tuple[int, int]]
+#: Node operators whose result is one bit.
+COMPARISONS = tuple(op for op, kind in _SINGLE.items() if kind is OpKind.CMP)
+#: Monotone or bilinear in each operand: extremes sit at the operands' ends.
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "neg": operator.neg, "abs": abs, "maximum": max, "minimum": min}
+
+
+def value_bounds(
+    roots: Iterable[Node], leaves: Mapping[str, Bounds]
+) -> Dict[Node, Bounds]:
+    """Interval arithmetic over every node reachable from ``roots``.
+
+    ``leaves`` bounds the inputs by the text the generated code addresses
+    them with (``up[0]``, ``p['match']``, ``t['matrix']`` for a table's
+    entries); the rest are unbounded, as are float constants and whatever
+    is built on either.  A comparison is 0 or 1 whatever it compares.
+    """
+    found: Dict[Node, Bounds] = {}
+
+    def visit(node: Node) -> Bounds:
+        if node in found:
+            return found[node]
+        op, ends = node.op, None
+        operands = [visit(arg) for arg in node.args if isinstance(arg, Node)]
+        if op == "const" and isinstance(node.args[0], int):
+            ends = node.args
+        elif op in ("in", "gather"):
+            ends = leaves.get(node.source if op == "in" else f"t[{node.source!r}]")
+        elif op in COMPARISONS:
+            ends = (0, 1)
+        elif op == "where" and None not in operands[1:]:
+            ends = operands[1] + operands[2]  # either arm, whatever the condition
+        elif op in _ARITHMETIC and None not in operands:
+            ends = [_ARITHMETIC[op](*at) for at in itertools.product(*operands)]
+            if op == "abs" and operands[0][0] < 0 < operands[0][1]:
+                ends.append(0)
+        found[node] = ends and (min(ends), max(ends))
+        return found[node]
+
+    for root in roots:
+        visit(root)
+    return found

@@ -145,7 +145,7 @@ class Alignment:
     @property
     def aligned_length(self) -> int:
         """Number of alignment columns (excluding END)."""
-        return sum(1 for m in self.moves if m is not Move.END)
+        return len(self.moves) - self.moves.count(Move.END)
 
     def pretty(self, query: Sequence, reference: Sequence, letters: str = "ACGT") -> str:
         """Render the alignment as three text rows (query / bars / reference).

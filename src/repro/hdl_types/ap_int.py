@@ -82,32 +82,34 @@ class ApIntType:
         return wrapped
 
     def quantize_array(self, values):
-        """Vectorized :meth:`quantize` over a float64 NumPy array.
+        """Vectorized :meth:`quantize` over a NumPy array, in the input's kind.
 
-        Bit-identical to mapping :meth:`quantize` over the elements, for
-        any value whose magnitude is exactly representable in float64
-        (always true for the <= 32-bit types kernels use: every
-        intermediate is far inside the 2**53 integer window).  Returns
-        float64 so the compiled wavefront backend can keep one working
-        dtype; the scalar path's ``int()`` truncation-toward-zero becomes
-        ``np.trunc``.
+        Bit-identical to mapping :meth:`quantize` over the elements.  An
+        integer array (the compiled backend's ``int32`` buckets) takes one
+        op: a narrowing ``astype`` (C two's-complement truncation) for the
+        8/16/32/64-bit wrap types, ``((v - lo) & mask) + lo`` for other
+        widths, ``np.clip`` to saturate.  A float array holds integers far
+        inside the 2**53 window: ``int()`` truncation toward zero is
+        ``np.trunc``, and in-range input — the usual case — returns after a
+        ``min``/``max``.
         """
         import numpy as np
 
-        values = np.trunc(np.asarray(values, dtype=np.float64))
-        in_range = (values >= self.min_value) & (values <= self.max_value)
-        if bool(np.all(in_range)):
-            return values
+        values = np.asarray(values)
+        lo, hi = self.min_value, self.max_value
+        exact = values.dtype.kind in "iu"
+        if not exact:
+            values = np.trunc(values.astype(np.float64, copy=False))
+            if not values.size or lo <= values.min() <= values.max() <= hi:
+                return values
         if self.overflow is Overflow.SATURATE:
-            out = np.clip(values, self.min_value, self.max_value)
+            return np.clip(values, lo, hi)
+        ints = values if exact else values.astype(np.int64)
+        if self.width in (8, 16, 32, 64):
+            ints = ints.astype(f"{'i' if self.signed else 'u'}{self.width // 8}")
         else:
-            span = 1 << self.width
-            wrapped = values.astype(np.int64) & (span - 1)
-            if self.signed:
-                high = wrapped >= (1 << (self.width - 1))
-                wrapped = np.where(high, wrapped - span, wrapped)
-            out = wrapped.astype(np.float64)
-        return np.where(in_range, values, out)
+            ints = ((ints - lo) & ((1 << self.width) - 1)) + lo
+        return ints if exact else ints.astype(np.float64)
 
     def sentinel_low(self) -> int:
         """A safe "-infinity" for max-objective recurrences.

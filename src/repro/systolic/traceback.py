@@ -14,10 +14,10 @@ matrix-boundary moves along row 0 / column 0.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.result import Alignment, Move
-from repro.core.spec import EndRule, KernelSpec, StartRule
+from repro.core.spec import EndRule, KernelSpec, StartRule, TBTransition
 from repro.systolic.tb_memory import TracebackMemory
 
 
@@ -85,6 +85,11 @@ class BestCellTracker:
         return max(1, math.ceil(math.log2(max(2, self.n_pe)))) + 2
 
 
+#: Per FSM, the (state, pointer) -> (move, next state) it has answered; a
+#: call that raises is not kept, so it raises again wherever it recurs.
+_TRANSITIONS: Dict[TBTransition, Dict[Tuple[int, int], Tuple[Move, int]]] = {}
+
+
 def walk_traceback(
     spec: KernelSpec,
     memory: TracebackMemory,
@@ -94,26 +99,35 @@ def walk_traceback(
     if spec.traceback is None or spec.tb_transition is None:
         raise TracebackError(f"{spec.name} has no traceback stage")
     end_rule = spec.traceback.end
+    # Row 0 ends every walk but TOP_LEFT's; column 0 every other but
+    # TOP_ROW's (SENTINEL too: the path has reached a zero-score init cell).
+    stop_at_row0 = end_rule is not EndRule.TOP_LEFT
+    stop_at_col0 = stop_at_row0 and end_rule is not EndRule.TOP_ROW
+    known = _TRANSITIONS.setdefault(spec.tb_transition, {})
+    read = memory.read
     state = spec.traceback.initial_state
     i, j = start
     moves: List[Move] = []
     max_steps = i + j + 5
     for _step in range(max_steps):
-        if _boundary_done(end_rule, i, j):
-            break
         if i == 0:
+            if stop_at_row0 or j == 0:
+                break
             # Row 0: only leftward (reference-consuming) moves remain.
             moves.append(Move.INS)
             j -= 1
             continue
         if j == 0:
+            if stop_at_col0:
+                break
             moves.append(Move.DEL)
             i -= 1
             continue
-        ptr = memory.read(i, j)
-        move, state = spec.tb_transition(state, ptr)
-        if move is Move.END:
-            break
+        key = (state, read(i, j))
+        step = known.get(key)
+        if step is None:
+            step = known[key] = spec.tb_transition(*key)
+        move, state = step
         if move is Move.MATCH:
             i -= 1
             j -= 1
@@ -121,6 +135,8 @@ def walk_traceback(
             i -= 1
         elif move is Move.INS:
             j -= 1
+        elif move is Move.END:
+            break
         else:  # pragma: no cover - defensive
             raise TracebackError(f"{spec.name}: FSM produced {move!r}")
         moves.append(move)
@@ -137,16 +153,3 @@ def walk_traceback(
         ref_start=j,
         ref_end=start[1],
     )
-
-
-def _boundary_done(end_rule: EndRule, i: int, j: int) -> bool:
-    if end_rule is EndRule.TOP_LEFT:
-        return i == 0 and j == 0
-    if end_rule is EndRule.TOP_ROW:
-        return i == 0
-    if end_rule is EndRule.TOP_ROW_OR_LEFT_COL:
-        return i == 0 or j == 0
-    # SENTINEL endings normally stop via a TB_END pointer, but a path that
-    # reaches row 0 / column 0 has arrived at a zero-score init cell and
-    # must terminate there as well.
-    return i == 0 or j == 0

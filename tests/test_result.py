@@ -44,6 +44,8 @@ class TestAlignment:
 
     def test_aligned_length(self):
         assert self.make().aligned_length == 4
+        ended = Alignment((Move.END, Move.MATCH, Move.INS, Move.END), 0, 1, 0, 2)
+        assert ended.aligned_length == 2
 
     def test_pretty_rows_aligned(self):
         aln = self.make()

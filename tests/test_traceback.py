@@ -95,6 +95,36 @@ class TestWalker:
         with pytest.raises(TracebackError):
             walk_traceback(spec, FakeMemory({}), (1, 1))
 
+    def test_transitions_are_asked_once_per_state_and_pointer(self):
+        asked = []
+
+        def counting_tb(state, ptr):
+            asked.append((state, ptr))
+            return linear_tb(state, ptr)
+
+        spec = make_spec(
+            traceback=TracebackSpec(end=EndRule.TOP_LEFT), tb_transition=counting_tb
+        )
+        ptrs = {(3, 3): TB_UP, (2, 3): TB_LEFT, (2, 2): TB_DIAG, (1, 1): TB_DIAG}
+        first = walk_traceback(spec, FakeMemory(ptrs), (3, 3))
+        again = walk_traceback(spec, FakeMemory(ptrs), (3, 3))
+        assert first == again and first.cigar == "2M1I1D"
+        assert sorted(asked) == [(0, TB_DIAG), (0, TB_UP), (0, TB_LEFT)]
+
+    def test_fsm_error_surfaces_every_time(self):
+        def strict_tb(state, ptr):
+            if ptr > TB_END:
+                raise ValueError(f"malformed pointer {ptr}")
+            return linear_tb(state, ptr)
+
+        spec = make_spec(
+            traceback=TracebackSpec(end=EndRule.TOP_LEFT), tb_transition=strict_tb
+        )
+        ptrs = {(2, 2): TB_DIAG, (1, 1): 7}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed pointer 7"):
+                walk_traceback(spec, FakeMemory(ptrs), (2, 2))
+
 
 class TestBestCellTracker:
     def make_tracker(self, rule, n_rows=4, n_cols=4, objective=Objective.MAXIMIZE):
