@@ -67,10 +67,12 @@ itself, never set by a caller — see ``docs/backends.md``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend import native
 from repro.backend.compiler import lower, runtime_params
 from repro.backend.wavefront import (
     SkewedPointers,
@@ -82,7 +84,7 @@ from repro.backend.wavefront import (
 )
 from repro.core.datapath import value_bounds
 from repro.core.result import AlignmentResult
-from repro.core.spec import KernelSpec, StartRule, trace_pe
+from repro.core.spec import KernelSpec, PETrace, StartRule, trace_pe
 from repro.hdl_types import ApIntType
 from repro.obs.recorder import get_recorder
 from repro.systolic.engine import (
@@ -167,12 +169,21 @@ def _working_dtype(spec: KernelSpec, params: Any, init: np.ndarray) -> type:
               for k in range(spec.n_layers)}
     for kind, values in zip("pt", runtime_params(params, np.float64)):
         leaves.update((f"{kind}[{k!r}]", _int_range(v)) for k, v in values.items())
-    trace = trace_pe(spec, params)
-    exact = None not in leaves.values() and all(
-        node.op in ("const", "in") or (b and -(1 << 30) <= b[0] and b[1] < 1 << 30)
-        for node, b in value_bounds((*trace.scores, trace.ptr), leaves).items()
+    exact = None not in leaves.values() and _exact(
+        trace_pe(spec, params), tuple(leaves.items())
     )
     return np.int32 if exact else np.float64
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact(trace: PETrace, leaves: Tuple[Tuple[str, Tuple[int, int]], ...]) -> bool:
+    """Every operator within 31 bits?  Memoised: the interval walk costs
+    more than a short native sweep, and buckets repeat few input ranges."""
+    bounds = value_bounds((*trace.scores, trace.ptr), dict(leaves))
+    return all(
+        node.op in ("const", "in") or (b and -(1 << 30) <= b[0] and b[1] < 1 << 30)
+        for node, b in bounds.items()
+    )
 
 
 @dataclasses.dataclass
@@ -239,7 +250,8 @@ def _sweep_bucket(
     # set by a caller; work[k][:, d % rows] is diagonal d of layer k.
     kernel = lower(spec, bucket.params)
     dtype = _working_dtype(spec, bucket.params, init)
-    row_init, col_init = init.astype(dtype, copy=False)
+    init = init.astype(dtype, copy=False)
+    row_init, col_init = init
     work: List[np.ndarray] = []
     for k in range(n_layers):
         kept = collect_matrix or (k == spec.score_layer and not corner_rule)
@@ -260,8 +272,8 @@ def _sweep_bucket(
     r_syms = _batch_symbols(
         spec, [pair.reference for pair in pairs], n_cols, reverse=True
     )
-    nq = np.asarray([pair.n_rows for pair in pairs])
-    nr = np.asarray([pair.n_cols for pair in pairs])
+    nq = np.asarray([pair.n_rows for pair in pairs], np.int64)
+    nr = np.asarray([pair.n_cols for pair in pairs], np.int64)
     # A full bucket (every lane as long as the buffers) needs no mask: the
     # diagonal range below is then exactly each pair's own active set.
     ragged = bool((nq < n_rows).any() or (nr < n_cols).any())
@@ -279,53 +291,84 @@ def _sweep_bucket(
     last = int((nq + nr).max())
     if banding is not None:
         last = min(last, 2 * min(n_rows, n_cols) + banding)
+    check_ptr = ptrs is not None and (
+        kernel.ptr_max is None or kernel.ptr_max > max_ptr
+    )
+
+    def too_wide(pointer: Any) -> ValueError:  # what TracebackMemory.write raises
+        return ValueError(f"pointer {pointer} does not fit in {spec.tb_ptr_bits} bits")
+
+    # Native or not is read off the machine, as the dtype is off the bucket:
+    # a kernel whose C form was built sweeps in one call, the rest loop here.
+    run = None
+    if not native.loop_forced:
+        if ptrs is None or ptrs.dtype == np.uint8:  # the C driver stores bytes
+            run = (kernel.native or {}).get(dtype)
+        # ... and reads tables unchecked: a symbol outside the alphabet (below
+        # zero is huge unsigned) goes to the loop that raises as the engine does
+        if run and 0 < spec.alphabet.size <= max(
+            q_syms.view(np.uintp).max(), r_syms.view(np.uintp).max()
+        ):
+            run = None
+        # metrics-only recorders hear this too
+        get_recorder().count(f"engine.native.{'sweeps' if run else 'fallbacks'}")
     swept = 0
-    for d in range(2, last + 1):
-        ilo = max(1, d - n_cols)
-        ihi = min(n_rows, d - 1)
-        if banding is not None:
-            # |i - (d - i)| <= W  <=>  (d - W) / 2 <= i <= (d + W) / 2
-            ilo = max(ilo, (d - banding + 1) // 2)
-            ihi = min(ihi, (d + banding) // 2)
-        cur, up, diag, left = [], [], [], []
-        for k, buf in enumerate(work):
-            rows = buf.shape[1]
-            cur_k, prev = buf[:, d % rows], buf[:, (d - 1) % rows]
-            cur_k[:, ilo - 1] = row_init[d, k]
-            cur_k[:, ihi + 1] = col_init[d, k]
-            cur.append(cur_k)
-            up.append(prev[:, ilo - 1 : ihi])
-            left.append(prev[:, ilo : ihi + 1])
-            diag.append(buf[:, (d - 2) % rows, ilo - 1 : ihi])
-        scores, ptr = pe(
-            up, diag, left,
-            q_syms[..., ilo - 1 : ihi],
-            r_syms[..., n_cols - d + ilo : n_cols - d + ihi + 1],
-            scalars, tables,
+    if run is not None:
+        operands = [np.ascontiguousarray(table) for table in tables.values()]
+        swept, bad = native.sweep(
+            run,
+            [n_lanes, n_rows, n_cols, last, -1 if banding is None else banding,
+             max_ptr if check_ptr else -1,
+             spec.score_layer if corner_rule else -1, *(buf.shape[1] for buf in work)],
+            [*work, init, ptrs, q_syms, r_syms, nq, nr,
+             np.asarray(list(scalars.values()), dtype), corner, *operands],
         )
-        if ragged:
-            # the per-pair  i <= len_q  and  i >= d - len_r  limits the
-            # larger buffers relaxed; retired lanes are zeroed *before*
-            # quantizing (see the module docstring)
-            mask = row_valid[:, ilo : ihi + 1] & (
-                row_index[ilo : ihi + 1] >= d - nr[:, None]
+        if bad is not None:
+            raise too_wide(bad)
+    else:
+        for d in range(2, last + 1):
+            ilo = max(1, d - n_cols)
+            ihi = min(n_rows, d - 1)
+            if banding is not None:
+                # |i - (d - i)| <= W  <=>  (d - W) / 2 <= i <= (d + W) / 2
+                ilo = max(ilo, (d - banding + 1) // 2)
+                ihi = min(ihi, (d + banding) // 2)
+            cur, up, diag, left = [], [], [], []
+            for k, buf in enumerate(work):
+                rows = buf.shape[1]
+                cur_k, prev = buf[:, d % rows], buf[:, (d - 1) % rows]
+                cur_k[:, ilo - 1] = row_init[d, k]
+                cur_k[:, ihi + 1] = col_init[d, k]
+                cur.append(cur_k)
+                up.append(prev[:, ilo - 1 : ihi])
+                left.append(prev[:, ilo : ihi + 1])
+                diag.append(buf[:, (d - 2) % rows, ilo - 1 : ihi])
+            scores, ptr = pe(
+                up, diag, left,
+                q_syms[..., ilo - 1 : ihi],
+                r_syms[..., n_cols - d + ilo : n_cols - d + ihi + 1],
+                scalars, tables,
             )
-            scores = [np.where(mask, out, 0) for out in scores]
-        for cur_k, out in zip(cur, scores):
-            cur_k[:, ilo : ihi + 1] = quantize_array(out)
-        if ptrs is not None:
-            if kernel.ptr_max is None or kernel.ptr_max > max_ptr:
-                # what TracebackMemory.write raises; PEs write last row first
-                bad = np.extract((ptr < 0) | (ptr > max_ptr), ptr)
-                if bad.size:
-                    raise ValueError(
-                        f"pointer {bad[-1]} does not fit in {spec.tb_ptr_bits} bits"
-                    )
-            ptrs[:, d, ilo : ihi + 1] = ptr
-        lanes = corner_lanes.get(d)
-        if lanes is not None:
-            corner[lanes] = cur[spec.score_layer][lanes, nq[lanes]]
-        swept += ihi - ilo + 1
+            if ragged:
+                # the per-pair  i <= len_q  and  i >= d - len_r  limits the
+                # larger buffers relaxed; retired lanes are zeroed *before*
+                # quantizing (see the module docstring)
+                mask = row_valid[:, ilo : ihi + 1] & (
+                    row_index[ilo : ihi + 1] >= d - nr[:, None]
+                )
+                scores = [np.where(mask, out, 0) for out in scores]
+            for cur_k, out in zip(cur, scores):
+                cur_k[:, ilo : ihi + 1] = quantize_array(out)
+            if ptrs is not None:
+                if check_ptr:  # PEs write last row first
+                    bad = np.extract((ptr < 0) | (ptr > max_ptr), ptr)
+                    if bad.size:
+                        raise too_wide(bad[-1])
+                ptrs[:, d, ilo : ihi + 1] = ptr
+            lanes = corner_lanes.get(d)
+            if lanes is not None:
+                corner[lanes] = cur[spec.score_layer][lanes, nq[lanes]]
+            swept += ihi - ilo + 1
 
     bucket.work, bucket.ptrs, bucket.corner = work, ptrs, corner
     return n_lanes * swept

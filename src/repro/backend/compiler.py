@@ -32,13 +32,17 @@ raise :class:`UnsupportedSpecError` at compile time; see
 from __future__ import annotations
 
 import dataclasses
+import re
+import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.backend import native
 from repro.core.datapath import COMPARISONS, value_bounds
 from repro.core.expr import ExprError, Node, is_scalar
 from repro.core.spec import KernelSpec, ParamSignature, PETrace, trace_pe
+from repro.obs.recorder import get_recorder
 
 
 class UnsupportedSpecError(TypeError):
@@ -55,26 +59,54 @@ class CompiledKernel:
     param_signature: ParamSignature
     #: static upper bound of the traceback pointer; ``None`` if unprovable
     ptr_max: Optional[int] = None
+    #: the native translation unit; ``None`` for an op outside the C dialect
+    c_source: Optional[str] = None
+    #: working dtype -> native sweep entry point; ``None``: the NumPy loop
+    native: Optional[Dict[type, Any]] = None
+    #: why ``native`` is ``None``
+    native_off: Optional[str] = None
 
 
-#: PETrace (one per pe_func × layers × alphabet × param signature) ->
-#: CompiledKernel.
-_CACHE: Dict[PETrace, CompiledKernel] = {}
+#: (PETrace — one per pe_func × layers × alphabet × param signature —, score
+#: type, alphabet size) -> CompiledKernel, and the lock its one build holds.
+_CACHE: Dict[Tuple, CompiledKernel] = {}
+_LOCKS: Dict[Tuple, threading.Lock] = {}
 
 
-_BINARY = {
-    "add": "({} + {})",
-    "sub": "({} - {})",
-    "mul": "({} * {})",
-    "lt": "({} < {})",
-    "le": "({} <= {})",
-    "gt": "({} > {})",
-    "ge": "({} >= {})",
-    "eq": "({} == {})",
-    "maximum": "np.maximum({}, {})",
-    "minimum": "np.minimum({}, {})",
+_ARITHMETIC = {
+    "add": "({} + {})", "sub": "({} - {})", "mul": "({} * {})", "neg": "(-{})",
+    "lt": "({} < {})", "le": "({} <= {})", "gt": "({} > {})",
+    "ge": "({} >= {})", "eq": "({} == {})",
 }
-_UNARY = {"abs": "np.abs({})", "neg": "(-{})"}
+_OPERATORS = (*_ARITHMETIC, "maximum", "minimum", "abs")
+
+
+def _c_literal(value: Any) -> str:
+    """``long long`` or ``double``: literal arithmetic is 64-bit, as NumPy's."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise UnsupportedSpecError(f"no C literal for {value!r}")
+    return repr(value) if isinstance(value, float) else f"{int(value)}LL"
+
+
+#: The emitter's two dialects: a template per operator, for a statement and
+#: for a table entry, and what a leaf and a literal read as.  The C one
+#: leaves operand types to the compiler (``__auto_type``): for these
+#: operands C's promotion computes the values NumPy's does.
+_NUMPY = {
+    **_ARITHMETIC,
+    "maximum": "np.maximum({}, {})", "minimum": "np.minimum({}, {})",
+    "abs": "np.abs({})", "where": "np.where({}, {}, {})",
+    "bit": "{}.view(np.uint8)", "stmt": "    {} = {}",
+    "leaf": str, "const": repr, "gather": "t[{!r}][{}]",
+}
+_C = {
+    **_ARITHMETIC,
+    "maximum": "MAXIMUM({}, {})", "minimum": "MINIMUM({}, {})",
+    "abs": "ABS({})", "where": "({} ? {} : {})",
+    "bit": "{}", "stmt": "                const __auto_type {} = {};",
+    "leaf": lambda source: re.sub(r"\['(\w+)'\]", r"_\1", source),  # p_match
+    "const": _c_literal, "gather": "t_{}[{}]",
+}
 
 
 #: comparison -> what ``where(cmp(x, y), x, y)`` and, arms swapped,
@@ -96,16 +128,23 @@ class _Emitter:
     used twice — are computed once, exactly like the scalar evaluation
     that built the DAG.  Leaves and constants are named by their text.
     A select in ``packed`` (see :func:`lower`) is ``uint8`` arithmetic.
+    The C dialect is given the table ``shapes`` and the alphabet ``size``:
+    its indices are flattened, and must provably stay inside the table.
     """
 
-    def __init__(self, packed: Set[Node]) -> None:
+    def __init__(self, packed: Set[Node], dialect: Dict[str, Any] = _NUMPY,
+                 shapes: Optional[Dict[str, Tuple[int, ...]]] = None,
+                 size: int = 0) -> None:
         self.lines: List[str] = []
         self._names: Dict[Node, str] = {}
         self._packed = packed
+        self._dialect = dialect
+        self._shapes = shapes
+        self._size = size
 
     def _assign(self, node: Node, text: str) -> str:
         name = self._names[node] = f"v{len(self.lines)}"
-        self.lines.append(f"    {name} = {text}")
+        self.lines.append(self._dialect["stmt"].format(name, text))
         return name
 
     def _where(self, node: Node) -> str:
@@ -114,46 +153,56 @@ class _Emitter:
             x, y = cond.args
             for fused, (p, q) in zip(_FUSED[cond.op], ((x, y), (y, x))):
                 if _same(a, p) and _same(b, q):
-                    return f"np.{fused}({self.emit(x)}, {self.emit(y)})"
+                    return self._dialect[fused].format(self.emit(x), self.emit(y))
         cond_text, a_text, b_text = (self.emit(arg) for arg in node.args)
         if node in self._packed and cond.op in COMPARISONS:
-            bit = f"{cond_text}.view(np.uint8)"
+            bit = self._dialect["bit"].format(cond_text)
             if b.op != "const":  # exact modulo 2**8, which the result is inside
                 return f"({b_text} + {bit} * ({a_text} - {b_text}))"
-            if b_text == "0":
-                return bit if a_text == "1" else f"{bit} * {a_text}"
-        return f"np.where({cond_text}, {a_text}, {b_text})"
+            if b.args[0] == 0:
+                return bit if a.args[0] == 1 else f"{bit} * {a_text}"
+        return self._dialect["where"].format(cond_text, a_text, b_text)
+
+    def _gather(self, node: Node) -> str:
+        if any(arg.op not in ("in", "const") for arg in node.args):
+            raise UnsupportedSpecError(
+                f"table {node.source!r} indexed by a computed expression; "
+                f"the compiled backend only supports symbol or constant "
+                f"table indices"
+            )
+        texts = [self.emit(arg) for arg in node.args]
+        if self._shapes is None:
+            return self._dialect["gather"].format(node.source, ", ".join(texts))
+        index = ""  # C neither wraps nor raises: no index may leave the table
+        for arg, text, n in zip(node.args, texts, self._shapes[node.source]):
+            if not (0 <= arg.args[0] < n if arg.op == "const" else 0 < self._size <= n):
+                raise UnsupportedSpecError(
+                    f"table {node.source!r}: index {text} is not provably in range"
+                )
+            index = f"({index} * {n} + {text})" if index else text
+        return self._dialect["gather"].format(node.source, index)
 
     def emit(self, node: Node) -> str:
         memo = self._names.get(node)
         if memo is not None:
             return memo
         if node.op == "in":
-            return node.source
+            return self._dialect["leaf"](node.source)
         if node.op == "const":
-            return repr(node.args[0])
+            return self._dialect["const"](node.args[0])
         if node.op == "gather":
-            if any(arg.op not in ("in", "const") for arg in node.args):
-                raise UnsupportedSpecError(
-                    f"table {node.source!r} indexed by a computed expression; "
-                    f"the compiled backend only supports symbol or constant "
-                    f"table indices"
-                )
-            idx = ", ".join(self.emit(arg) for arg in node.args)
-            return self._assign(node, f"t[{node.source!r}][{idx}]")
+            return self._assign(node, self._gather(node))
         if node.op == "where":
             return self._assign(node, self._where(node))
-        if node.op in _BINARY:
-            a, b = (self.emit(arg) for arg in node.args)
-            return self._assign(node, _BINARY[node.op].format(a, b))
-        if node.op in _UNARY:
-            (a,) = (self.emit(arg) for arg in node.args)
-            return self._assign(node, _UNARY[node.op].format(a))
+        if node.op in _OPERATORS:
+            texts = [self.emit(arg) for arg in node.args]
+            return self._assign(node, self._dialect[node.op].format(*texts))
         raise UnsupportedSpecError(f"cannot lower node op {node.op!r}")
 
 
 def lower(spec: KernelSpec, params: Any = None) -> CompiledKernel:
-    """Emit the vectorized NumPy form of ``spec.pe_func``'s traced DAG."""
+    """Emit the vectorized NumPy form of ``spec.pe_func``'s traced DAG and,
+    where this machine can build it, the native sweep around its C form."""
     try:
         trace = trace_pe(spec, params)
     except (ExprError, ValueError) as exc:
@@ -161,10 +210,19 @@ def lower(spec: KernelSpec, params: Any = None) -> CompiledKernel:
             f"{spec.name}: PE function is outside the compiled backend's "
             f"supported surface: {exc}"
         ) from exc
-    cached = _CACHE.get(trace)
-    if cached is not None:
-        return cached
+    key = (trace, spec.score_type, spec.alphabet.size)
+    # Single flight per key: racing prewarms (pool replicas, pipeline stage
+    # threads) agree on one exec and, more to the point, one compiler run.
+    cached = _CACHE.get(key)
+    if cached is None:
+        with _LOCKS.setdefault(key, threading.Lock()):
+            cached = _CACHE.get(key)
+            if cached is None:
+                cached = _CACHE[key] = _lower(spec, trace)
+    return cached
 
+
+def _lower(spec: KernelSpec, trace: PETrace) -> CompiledKernel:
     # Leaf-free bounds hold whatever the parameters.  If everything from the
     # pointer down to its comparisons has one inside a byte, uint8 is exact.
     bounds = value_bounds([trace.ptr], {})
@@ -190,15 +248,33 @@ def lower(spec: KernelSpec, params: Any = None) -> CompiledKernel:
     )
     namespace: Dict[str, Any] = {"np": np}
     exec(compile(source, f"<compiled:{spec.name}>", "exec"), namespace)
-    compiled = CompiledKernel(
+
+    # The same walk in the C dialect, spliced into the native driver.
+    c_source = entries = native_off = None
+    try:
+        emitter = _Emitter(
+            packed, _C, {e[0]: e[2] for e in trace.signature if e[1] == "table"},
+            spec.alphabet.size,
+        )
+        score_texts = [emitter.emit(node) for node in trace.scores]
+        c_source = native.translation_unit(
+            spec, trace.signature, emitter.lines, score_texts, emitter.emit(trace.ptr)
+        )
+        entries = native.load(c_source)
+    except (UnsupportedSpecError, native.NativeUnavailable) as exc:
+        native_off = str(exc)
+    # decided here, once per process: the sweeps themselves only count
+    get_recorder().gauge(f"engine.native{{kernel={spec.name}}}", int(bool(entries)))
+    return CompiledKernel(
         name=spec.name,
         fn=namespace["_pe"],
         source=source,
         param_signature=trace.signature,
         ptr_max=ptr_bounds[1] if ptr_bounds and ptr_bounds[0] >= 0 else None,
+        c_source=c_source,
+        native=entries,
+        native_off=native_off,
     )
-    _CACHE[trace] = compiled
-    return compiled
 
 
 def prewarm(spec: KernelSpec, params: Any = None) -> bool:

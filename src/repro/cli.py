@@ -76,6 +76,14 @@ def cmd_list(_args) -> int:
     return 0
 
 
+def cmd_info(_args) -> int:
+    """What the compiled backend found on this machine: native or NumPy."""
+    from repro.backend import native
+
+    print("\n".join(native.describe()))
+    return 0
+
+
 def cmd_align(args) -> int:
     """Align two sequences on a kernel and print the result."""
     spec = _kernel_arg(args.kernel)
@@ -822,6 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the registered kernels")
+    sub.add_parser("info", help="the compiled backend here: native or NumPy, and why")
 
     p = sub.add_parser("align", help="align two sequences on a kernel")
     p.add_argument("kernel")
@@ -1120,6 +1129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "list": cmd_list,
+        "info": cmd_info,
         "align": cmd_align,
         "synth": cmd_synth,
         "rtl": cmd_rtl,

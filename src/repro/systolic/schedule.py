@@ -11,6 +11,7 @@ bounds of banded RTL designs such as BSW).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -76,6 +77,7 @@ def chunk_schedules(
     return chunks
 
 
+@functools.lru_cache(maxsize=4096)  # a batch repeats few distinct shapes
 def count_wavefronts(
     n_rows: int, n_cols: int, n_pe: int, banding: Optional[int] = None
 ) -> int:

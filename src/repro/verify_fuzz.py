@@ -21,8 +21,11 @@ kernel's cases as *one* :func:`repro.backend.compiled_align_batch`
 lockstep sweep (mixed lengths, per-case PE counts) and compares each
 slot bit-identically against the same pair as a batch of one — the
 driver's masked ragged-bucket branch against its unmasked full-bucket
-branch — any divergence is a ``batched_*`` failure.  A failing case is
-then *shrunk* — query and reference are
+branch — any divergence is a ``batched_*`` failure.  Both compiled legs
+run under the native C sweep where this machine built one, then under the
+NumPy loop (:func:`repro.backend.native.disabled`); a failure's detail
+names the first that shows it (``loop=default``, ``loop=numpy``).  A
+failing case is then *shrunk* — query and reference are
 greedily truncated and thinned while the failure persists — so every
 mismatch lands as a minimal reproducer ready to paste into a regression
 test (see ``tests/test_fuzz_regressions.py``).
@@ -34,6 +37,7 @@ byte-identical corpus and a report that is independent of ``workers``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -41,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import compiled_align, compiled_align_batch
+from repro.backend import compiled_align, compiled_align_batch, native
 from repro.cache.fingerprint import fingerprint, sequence_blob
 from repro.core.spec import StartRule
 from repro.experiments.workloads import WORKLOADS
@@ -311,10 +315,27 @@ def case_failures(
                 "engine_traceback", "recovered move sequences differ"
             ))
 
-    # ------------------------------------------------------------------
-    # compiled-backend leg: strict bit-identity against the engine, with
-    # the oracle as the third voice of the disagreement triple.
-    # ------------------------------------------------------------------
+    for name, loop in _LOOPS:  # one report per bug, naming the loop to rerun under
+        with loop():
+            found = _backend_failures(spec, case, actual, expected)
+        if found:
+            return failures + [_tagged(failure, name) for failure in found]
+    return failures
+
+
+#: What the compiled legs run under: the native C sweep where this machine
+#: built one, then the NumPy loop.
+_LOOPS = (("default", contextlib.nullcontext), ("numpy", native.disabled))
+
+
+def _tagged(failure: FuzzFailure, loop: str) -> FuzzFailure:
+    return FuzzFailure(failure.check, f"{failure.detail} loop={loop}")
+
+
+def _backend_failures(spec, case: FuzzCase, actual, expected) -> List[FuzzFailure]:
+    """Compiled-backend leg: strict bit-identity against the engine, with
+    the oracle as the third voice of the disagreement triple."""
+    failures: List[FuzzFailure] = []
     try:
         lowered = compiled_align(
             spec, case.query, case.reference, n_pe=case.n_pe
@@ -338,7 +359,10 @@ def case_failures(
             f"oracle={expected.start}",
         ))
     if spec.has_traceback:
-        compiled_moves = lowered.alignment.moves if lowered.alignment else None
+        ours, theirs, compiled_moves = (
+            result.alignment.moves if result.alignment else None
+            for result in (actual, expected, lowered)
+        )
         if compiled_moves != ours:
             failures.append(FuzzFailure(
                 "backend_traceback",
@@ -598,12 +622,15 @@ def run_corpus(
     # inputs are already minimal fuzz cases.
     # ------------------------------------------------------------------
     if align_fn is None:
-        pairs_checked, batched_failures = _batched_failures(corpus)
-        report.batched_pairs = pairs_checked
+        for name, loop in _LOOPS:  # as the per-case compiled leg
+            with loop():
+                report.batched_pairs, batched_failures = _batched_failures(corpus)
+            if batched_failures:
+                break
         for case, failure in batched_failures:
             report.mismatches.append(FuzzMismatch(
                 case=case,
-                failure=failure,
+                failure=_tagged(failure, name),
                 shrunk_query=case.query,
                 shrunk_reference=case.reference,
                 shrink_rounds=0,

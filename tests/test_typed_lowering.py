@@ -8,13 +8,16 @@ on ``int32`` buffers.  Every one is pinned here against
 :func:`repro.systolic.align`, the only independent reference.
 
 ``python tests/test_typed_lowering.py`` prints the registry kernels'
-generated sources — the content of ``tests/golden/pe_sources.txt``.
+generated sources — the content of ``tests/golden/pe_sources.txt``; with
+the argument ``c_source``, their native translation units —
+``tests/golden/pe_sources_c.txt`` (emitted with or without a C compiler).
 """
 
 import dataclasses
 import inspect
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -29,16 +32,22 @@ from repro.kernels.extensions import EXTENSION_KERNELS
 from repro.systolic.engine import align
 from tests.conftest import mutated_copy, random_dna
 
-GOLDEN_SOURCES = pathlib.Path(__file__).parent / "golden" / "pe_sources.txt"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_SOURCES = {"source": GOLDEN / "pe_sources.txt",
+                  "c_source": GOLDEN / "pe_sources_c.txt"}
 REGISTRY = [get_kernel(kid) for kid in kernel_ids()]
 ALL_SPECS = [*REGISTRY, *EXTENSION_KERNELS]
 
 
-def render_sources() -> str:
-    return "".join(
-        f"# {spec.kernel_id} {spec.name}\n{lower(spec).source}\n\n"
-        for spec in REGISTRY
-    )
+def render_sources(form: str = "source") -> str:
+    """Every registry kernel's generated text; a repeat names its first use."""
+    first, parts = {}, []
+    for spec in REGISTRY:
+        text = getattr(lower(spec), form)
+        seen = first.setdefault(text, spec.name) if form == "c_source" else spec.name
+        body = text if seen == spec.name else f"/* the translation unit of {seen} */"
+        parts.append(f"# {spec.kernel_id} {spec.name}\n{body}\n\n")
+    return "".join(parts)
 
 
 def dna_pairs(n, length, seed):
@@ -342,8 +351,12 @@ class TestPointerWidthParity:
 class TestGoldenSources:
     def test_committed_sources_are_what_lower_emits(self):
         """A codegen change shows up as a diff of this file in review."""
-        assert GOLDEN_SOURCES.read_text() == render_sources()
+        assert GOLDEN_SOURCES["source"].read_text() == render_sources()
+
+    def test_committed_c_sources_are_what_lower_emits(self):
+        """The native translation units, compiler or no compiler."""
+        assert GOLDEN_SOURCES["c_source"].read_text() == render_sources("c_source")
 
 
 if __name__ == "__main__":
-    print(render_sources(), end="")
+    print(render_sources(*sys.argv[1:]), end="")
