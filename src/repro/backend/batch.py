@@ -18,10 +18,9 @@ symbols ``q[:, ilo-1:ihi]``, reference symbols a slice of a once-reversed,
 right-aligned copy.  No gather, no scatter.  A cell depends only on
 diagonals ``d-1`` and ``d-2``, so a layer rolls through ``rows = 3``
 buffers addressed ``d % rows`` (PE registers plus the preserved-row
-buffer); a layer that must outlive the sweep — all of them under
-``collect_matrix``, the score layer when the start rule searches the
-matrix — gets ``rows = Q+R+1`` under the same indexing.  Pointers go to
-one skewed ``(B, Q+R+1, Q+2)`` array the walker reads as ``[i+j, i]``.
+buffer); only ``collect_matrix`` makes layers outlive the sweep, with
+``rows = Q+R+1`` under the same indexing.  Pointers go to one skewed
+``(B, Q+R+1, Q+2)`` array the walkers read as ``[i+j, i]``.
 
 **Boundaries.**  Reads from diagonals ``d-1``/``d-2`` never leave their
 ``[ilo-1, ihi+1]`` (every bound is monotone in ``d``), so besides
@@ -53,12 +52,15 @@ whatever else shares its batch.  The argument:
   Nothing of a retired lane needs preserving; it still flows through
   ``_pe`` but is zeroed *before* quantizing, so wrap-mode integer
   conversion never sees values a real pair could not produce;
-* ``BOTTOM_RIGHT`` captures each lane's corner on the lane's own last
-  diagonal; other start rules argmax the pair's un-skewed view over the
-  closed form of its computed cells, where row-major order is the
-  engine's smallest-(i, j) tie break;
+* the start cell is reduced inside the loop body: each lane carries
+  ``(best, i, j)`` over its own live cells the start rule makes eligible,
+  replaced by a strictly better score or, on an equal one, a smaller
+  ``(i, j)`` — ``BestCellTracker.observe``, whatever the visiting order;
 * traceback walks the pair's own pointer rows (never-written cells read
-  0); the cycle model is closed-form per pair.
+  0) over the FSM's eager transition table: all lanes in one native call
+  after a native sweep, the scalar walker otherwise and for any lane the
+  native walk flags, so the FSM's own error surfaces first and verbatim;
+  the cycle model is closed-form per pair.
 
 Full or ragged, ``int32`` or ``float64``: both are read off the bucket
 itself, never set by a caller — see ``docs/backends.md``.
@@ -78,13 +80,13 @@ from repro.backend.wavefront import (
     SkewedPointers,
     assemble_matrix,
     computed_cells,
+    count_cells,
     cycle_report,
-    select_start,
     unskew,
 )
 from repro.core.datapath import value_bounds
-from repro.core.result import AlignmentResult
-from repro.core.spec import KernelSpec, PETrace, StartRule, trace_pe
+from repro.core.result import Alignment, AlignmentResult
+from repro.core.spec import KernelSpec, Objective, PETrace, StartRule, trace_pe
 from repro.hdl_types import ApIntType
 from repro.obs.recorder import get_recorder
 from repro.systolic.engine import (
@@ -92,7 +94,13 @@ from repro.systolic.engine import (
     check_corner,
     validate_pair,
 )
-from repro.systolic.traceback import walk_traceback
+from repro.systolic.traceback import (
+    MOVE_OF,
+    TracebackError,
+    stop_flags,
+    transition_table,
+    walk_traceback,
+)
 
 #: Pair lengths are rounded up to the next multiple of this to form the
 #: bucket key (arrays are sized to actual lengths), so a mixed-length
@@ -213,8 +221,13 @@ class _Bucket:
     #: per layer, skewed ``(B, rows, Q+2)``; ``rows = Q+R+1`` if kept, else 3
     work: Optional[List[np.ndarray]] = None
     ptrs: Optional[np.ndarray] = None
-    #: per lane, the score layer's (len_q, len_r) cell (``BOTTOM_RIGHT`` only)
-    corner: Optional[np.ndarray] = None
+    #: per lane, the start cell's score and its (i, j); i < 0: no eligible cell
+    best: Optional[np.ndarray] = None
+    cell: Optional[np.ndarray] = None
+    #: the native walk, if any: per lane its move bytes, last first, and
+    #: (how many, end i, end j, whether the end rule fired)
+    moves: Optional[np.ndarray] = None
+    walked: Optional[np.ndarray] = None
 
 
 def _sweep_bucket(
@@ -222,10 +235,10 @@ def _sweep_bucket(
 ) -> int:
     """Run one lockstep anti-diagonal sweep over a bucket's pairs.
 
-    Fills ``bucket.work`` / ``bucket.ptrs`` / ``bucket.corner`` and
-    returns the cells swept, padding included; raises only for a pointer
-    beyond ``tb_ptr_bits`` (per-pair failures surface later, in submission
-    order, during finishing).
+    Fills ``bucket.work`` / ``ptrs`` / ``best`` / ``cell`` — and, swept
+    natively, ``moves`` / ``walked`` — and returns the cells swept, padding
+    included; raises only for a pointer beyond ``tb_ptr_bits`` (per-pair
+    failures surface later, in submission order, during finishing).
     """
     pairs = bucket.pairs
     n_lanes = len(pairs)
@@ -234,7 +247,7 @@ def _sweep_bucket(
     banding = spec.banding
     n_rows, n_cols = bucket.n_rows, bucket.n_cols
     n_diags = n_rows + n_cols + 1
-    corner_rule = spec.start_rule is StartRule.BOTTOM_RIGHT
+    rule, score_layer = spec.start_rule, spec.score_layer
 
     # Cells (0, d) and (d, 0) by diagonal: the pair's init row/column
     # inside the pair and the band, the sentinel everywhere else.
@@ -254,9 +267,8 @@ def _sweep_bucket(
     row_init, col_init = init
     work: List[np.ndarray] = []
     for k in range(n_layers):
-        kept = collect_matrix or (k == spec.score_layer and not corner_rule)
         buf = np.full(
-            (n_lanes, n_diags if kept else 3, n_rows + 2), sentinel, dtype
+            (n_lanes, n_diags if collect_matrix else 3, n_rows + 2), sentinel, dtype
         )
         for d in (0, 1):
             buf[:, d, 0] = row_init[d, k]
@@ -279,11 +291,10 @@ def _sweep_bucket(
     ragged = bool((nq < n_rows).any() or (nr < n_cols).any())
     row_index = np.arange(n_rows + 2)
     row_valid = row_index <= nq[:, None]
-    corner = np.zeros(n_lanes, dtype)
-    corner_lanes: Dict[int, List[int]] = {}
-    if corner_rule:
-        for b, pair in enumerate(pairs):
-            corner_lanes.setdefault(pair.n_rows + pair.n_cols, []).append(b)
+    # The running start cell of each lane: BestCellTracker.observe over the
+    # lane's own eligible cells, in both loop bodies (i < 0: none seen).
+    best = np.zeros(n_lanes, dtype)
+    cell = np.full((n_lanes, 2), -1, np.int64)
     quantize_array = spec.score_type.quantize_array
 
     # No lane has a cell past its own corner's diagonal, and past
@@ -315,17 +326,52 @@ def _sweep_bucket(
     swept = 0
     if run is not None:
         operands = [np.ascontiguousarray(table) for table in tables.values()]
-        swept, bad = native.sweep(
+        out = np.zeros(3)
+        if native.call(
             run,
             [n_lanes, n_rows, n_cols, last, -1 if banding is None else banding,
-             max_ptr if check_ptr else -1,
-             spec.score_layer if corner_rule else -1, *(buf.shape[1] for buf in work)],
+             max_ptr if check_ptr else -1, *(buf.shape[1] for buf in work)],
             [*work, init, ptrs, q_syms, r_syms, nq, nr,
-             np.asarray(list(scalars.values()), dtype), corner, *operands],
-        )
-        if bad is not None:
-            raise too_wide(bad)
+             np.asarray(list(scalars.values()), dtype), best, cell, out, *operands],
+        ):
+            raise too_wide(out[1] if out[2] else int(out[1]))
+        swept = int(out[0])
+        if ptrs is not None:  # ... and walks every lane in a second
+            _steps, move_of, next_state = transition_table(
+                spec.tb_transition, spec.traceback.initial_state, spec.tb_ptr_bits
+            )
+            bucket.moves = np.empty((n_lanes, n_diags + 4), np.uint8)
+            bucket.walked = np.empty((n_lanes, 4), np.int64)
+            native.call(
+                kernel.native["walk"],
+                [n_lanes, n_rows, n_cols, move_of.shape[1], *stop_flags(spec.traceback.end)],
+                [ptrs, move_of, next_state, cell, bucket.moves, bucket.walked],
+            )
+            get_recorder().count("engine.native.walks")
     else:
+        # the corner rule is the degenerate reduction: one eligible cell a
+        # lane, so only the lanes' last diagonals are looked at
+        corner_diags = set((nq + nr).tolist()) if rule is StartRule.BOTTOM_RIGHT else None
+        better, arg_extreme, worst = (
+            (np.greater, np.argmax, -np.inf) if spec.objective is Objective.MAXIMIZE
+            else (np.less, np.argmin, np.inf)
+        )
+        lane_index, score_buf = np.arange(n_lanes), work[score_layer]
+
+        def observe(d: int, rows: np.ndarray, valid: np.ndarray) -> None:
+            """``BestCellTracker.observe`` of cell ``(rows[b], d - rows[b])`` in
+            every ``valid`` lane b: strictly better, or equal and a smaller row."""
+            if not valid.any():
+                return
+            found = score_buf[lane_index, d % score_buf.shape[1], rows]
+            take = valid & (
+                (cell[:, 0] < 0) | better(found, best)
+                | (~better(best, found) & (rows < cell[:, 0]))
+            )
+            if take.any():
+                best[take] = found[take]
+                cell[take] = np.stack((rows, d - rows), axis=1)[take]
+
         for d in range(2, last + 1):
             ilo = max(1, d - n_cols)
             ihi = min(n_rows, d - 1)
@@ -365,12 +411,24 @@ def _sweep_bucket(
                     if bad.size:
                         raise too_wide(bad[-1])
                 ptrs[:, d, ilo : ihi + 1] = ptr
-            lanes = corner_lanes.get(d)
-            if lanes is not None:
-                corner[lanes] = cur[spec.score_layer][lanes, nq[lanes]]
+            if corner_diags is None or d in corner_diags:
+                # reduction: the eligible ones of each lane's live rows lo..hi
+                lo, hi = np.maximum(ilo, d - nr), np.minimum(ihi, nq)
+                if rule is StartRule.GLOBAL_MAX:  # first of the best: smallest row
+                    layer = cur[score_layer][:, ilo : ihi + 1]
+                    if ragged:
+                        layer = np.where(mask, layer, worst)
+                    observe(d, arg_extreme(layer, axis=1) + ilo, lo <= hi)
+                elif rule is StartRule.BOTTOM_RIGHT:
+                    observe(d, hi, (lo == hi) & (lo == d - nr) & (hi == nq))
+                else:
+                    live = lo <= hi
+                    if rule is StartRule.LAST_ROW_OR_COL_MAX:
+                        observe(d, np.minimum(lo, hi), live & (lo == d - nr))
+                    observe(d, hi, live & (hi == nq))
             swept += ihi - ilo + 1
 
-    bucket.work, bucket.ptrs, bucket.corner = work, ptrs, corner
+    bucket.work, bucket.ptrs, bucket.best, bucket.cell = work, ptrs, best, cell
     return n_lanes * swept
 
 
@@ -490,35 +548,36 @@ def _batch_impl(
         for bucket in buckets.values()
     )
 
-    # Per-pair finishing in submission order (start rule, traceback,
-    # cycle model, optional matrix) on each pair's own un-skewed view.
-    corner_rule = spec.start_rule is StartRule.BOTTOM_RIGHT
-    need_cells = collect_matrix or not corner_rule or recorder.enabled
-    cells_of: Dict[Tuple[int, int], np.ndarray] = {}
+    # Per-pair finishing in submission order: wrap what the sweep left per
+    # lane (start cell, walked path), model the cycles, assemble the matrix.
     results: List[AlignmentResult] = []
     total_wavefronts = 0
     lane_cells = 0
     for index, (bucket, lane) in enumerate(placed):
         member = bucket.pairs[lane]
         n_rows, n_cols = member.n_rows, member.n_cols
-        shape = (n_rows, n_cols)
-        if need_cells and shape not in cells_of:
-            cells_of[shape] = computed_cells(n_rows, n_cols, spec.banding)
-        computed = cells_of.get(shape)
-        if corner_rule:
-            raw_score, start = bucket.corner[lane], (n_rows, n_cols)
-        else:
-            raw_score, start = select_start(
-                spec,
-                unskew(bucket.work[spec.score_layer][lane], n_rows, n_cols),
-                computed,
+        start = tuple(bucket.cell[lane].tolist())
+        if start[0] < 0:
+            raise TracebackError(
+                f"{spec.name}: no cell satisfied start rule {spec.start_rule.value}"
             )
-        score = spec.quantize(float(raw_score))
+        score = spec.quantize(float(bucket.best[lane]))
         alignment, end, traceback_cycles = None, (0, 0), 0
         if bucket.ptrs is not None:
-            alignment = walk_traceback(
-                spec, SkewedPointers(bucket.ptrs[lane]), start
-            )
+            walked = bucket.walked
+            if walked is not None and walked[lane, 3]:
+                n_moves, end_i, end_j = walked[lane, :3].tolist()
+                path = bucket.moves[lane, :n_moves][::-1].tobytes()
+                alignment = Alignment(
+                    tuple(map(MOVE_OF.__getitem__, path)),
+                    end_i, start[0], end_j, start[1],
+                )
+            else:  # no native walk, or one the FSM has something to say about
+                if walked is not None:
+                    recorder.count("engine.traceback.rewalks")
+                alignment = walk_traceback(
+                    spec, SkewedPointers(bucket.ptrs[lane]), start
+                )
             end = (alignment.query_start, alignment.ref_start)
             traceback_cycles = (
                 alignment.aligned_length + TRACEBACK_SETUP_CYCLES
@@ -533,10 +592,10 @@ def _batch_impl(
             matrix = assemble_matrix(
                 spec, member.row0, member.col0,
                 [unskew(buf[lane], n_rows, n_cols) for buf in bucket.work],
-                computed,
+                computed_cells(n_rows, n_cols, spec.banding),
             )
         if recorder.enabled:
-            lane_cells += int(np.count_nonzero(computed))
+            lane_cells += count_cells(n_rows, n_cols, spec.banding)
         results.append(AlignmentResult(
             score=score, start=start, end=end,
             alignment=alignment, cycles=cycles, matrix=matrix,

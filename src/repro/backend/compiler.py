@@ -61,14 +61,17 @@ class CompiledKernel:
     ptr_max: Optional[int] = None
     #: the native translation unit; ``None`` for an op outside the C dialect
     c_source: Optional[str] = None
-    #: working dtype -> native sweep entry point; ``None``: the NumPy loop
-    native: Optional[Dict[type, Any]] = None
+    #: working dtype -> native sweep entry point, ``"walk"`` -> the traceback
+    #: walker; ``None``: the NumPy loop
+    native: Optional[Dict[Any, Any]] = None
     #: why ``native`` is ``None``
     native_off: Optional[str] = None
 
 
 #: (PETrace — one per pe_func × layers × alphabet × param signature —, score
-#: type, alphabet size) -> CompiledKernel, and the lock its one build holds.
+#: type, alphabet size, and what else the native unit is built for: start
+#: rule, objective, score layer) -> CompiledKernel, and the lock its one
+#: build holds.
 _CACHE: Dict[Tuple, CompiledKernel] = {}
 _LOCKS: Dict[Tuple, threading.Lock] = {}
 
@@ -210,7 +213,8 @@ def lower(spec: KernelSpec, params: Any = None) -> CompiledKernel:
             f"{spec.name}: PE function is outside the compiled backend's "
             f"supported surface: {exc}"
         ) from exc
-    key = (trace, spec.score_type, spec.alphabet.size)
+    key = (trace, spec.score_type, spec.alphabet.size,
+           spec.start_rule, spec.objective, spec.score_layer)
     # Single flight per key: racing prewarms (pool replicas, pipeline stage
     # threads) agree on one exec and, more to the point, one compiler run.
     cached = _CACHE.get(key)

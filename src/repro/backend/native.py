@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.spec import KernelSpec, ParamSignature
+from repro.core.spec import KernelSpec, Objective, ParamSignature, StartRule
 from repro.hdl_types import ApFixedType, ApIntType, Overflow, Rounding
 
 #: No -ffast-math, no -march=native: IEEE semantics and one object per
@@ -49,28 +49,81 @@ _PRELUDE = """\
 #define MINIMUM(a, b) ((a) <= (b) || (a) != (a) ? (a) : (b))
 #define UNROLL _Pragma("GCC unroll 8")  /* so up[k] & co. stay registers */
 #define ABS(a) _Generic((a) + 0, double: fabs(a), default: ((a) < 0 ? -(a) : (a)))
+
+/* The traceback FSM is data, so this text is the same in every unit: all B
+   lanes of the skewed pointers from their start cells (row < 0: none).
+   ``dim``: lanes, Q, R, pointers per state, stop at row 0, at column 0.
+   ``moves`` is (B, Q + R + 5), last move first; ``done`` per lane: moves, end
+   row, end column, did the end rule fire (else: the scalar walker's to say). */
+enum { MATCH, DEL, INS, END, TRAP = 255 };
+int walk(const int64_t *dim, void *const *arg)
+{
+    const int64_t B = dim[0], Q = dim[1], R = dim[2], P = dim[3];
+    const int64_t S = Q + 2, D = Q + R + 1, M = Q + R + 5;
+    const uint8_t *const ptrs = arg[0], *const move_of = arg[1], *const next_state = arg[2];
+    const int64_t *const cell = arg[3];
+    uint8_t *const moves = arg[4];
+    int64_t *const done = arg[5];
+    for (int64_t b = 0; b < B; b++) {
+        int64_t i = cell[2 * b], j = cell[2 * b + 1], n = 0;
+        int state = 0, move = TRAP;
+        for (int64_t left = i + j + 5; i >= 0 && left; left--) {
+            if (i == 0) {  /* row 0: only reference-consuming moves remain */
+                move = dim[4] || j == 0 ? END : INS;
+            } else if (j == 0) {
+                move = dim[5] ? END : DEL;
+            } else {
+                const int64_t ptr = ptrs[(b * D + i + j) * S + i];
+                move = ptr < P ? move_of[state * P + ptr] : TRAP;
+                if (move != TRAP)
+                    state = next_state[state * P + ptr];
+            }
+            if (move >= END)  /* the end rule fired, or a trap */
+                break;
+            moves[b * M + n++] = (uint8_t)move;
+            i -= move != INS;
+            j -= move != DEL;
+        }
+        done[4 * b] = n, done[4 * b + 1] = i, done[4 * b + 2] = j;
+        done[4 * b + 3] = move == END;
+    }
+    return 0;
+}
 """
 
 #: One instantiation per working dtype ``T`` (``W``: what a score widens to
 #: before quantising); ``L`` layers, ``F`` symbol fields of type ``SYM``.
 #: ``dim``: lanes, Q, R, last diagonal, band or -1, largest pointer to
-#: accept or -1 for unchecked, corner layer or -1, then rows per layer.
-#: ``arg``: the L skewed layers, then the operands unpacked below.
+#: accept or -1 for unchecked, then rows per layer.  ``arg``: the L skewed
+#: layers, then the operands unpacked below.  ``best``/``cell`` are each
+#: lane's running start cell, ``systolic.traceback.BestCellTracker`` on its
+#: own live cells: ``START`` says which are eligible, ``BETTER`` is strict,
+#: and of two equal cells the later has the smaller (i, j) iff a smaller row.
 _DRIVER = Template("""
 #define T $T
 #define W $W
 static inline T quant_$sfx(W v) {$quant}
-int sweep_$sfx(const int64_t *dim, void *const *arg, double *out)
+static inline void observe_$sfx(T score, int64_t i, int64_t j, T *best, int64_t *cell)
+{
+    if (cell[0] < 0 || BETTER(score, *best) || (!BETTER(*best, score) && i < cell[0])) {
+        *best = score;
+        cell[0] = i;
+        cell[1] = j;
+    }
+}
+int sweep_$sfx(const int64_t *dim, void *const *arg)
 {
     const int64_t B = dim[0], Q = dim[1], R = dim[2], last = dim[3];
-    const int64_t band = dim[4], max_ptr = dim[5], corner_layer = dim[6];
-    const int64_t *rows = dim + 7, S = Q + 2, D = Q + R + 1;
+    const int64_t band = dim[4], max_ptr = dim[5];
+    const int64_t *rows = dim + 6, S = Q + 2, D = Q + R + 1;
     const T *const row_init = arg[L], *const col_init = row_init + D * L * B;
     uint8_t *const ptrs = arg[L + 1];
     const SYM *const qsym = arg[L + 2], *const rsym = arg[L + 3];
     const int64_t *const nq = arg[L + 4], *const nr = arg[L + 5];
     const T *const p = arg[L + 6];
-    T *const corner = arg[L + 7];
+    T *const best = arg[L + 7];
+    int64_t *const cell = arg[L + 8];
+    double *const out = arg[L + 9];  /* cells swept or: 1, the bad pointer, is it a double */
 $params
     int64_t swept = 0;
     for (int d = 2; d <= last; d++) {
@@ -128,13 +181,24 @@ $body
                         pr[i] = (uint8_t)ptr;
                 }
             }
+            /* reduction: the eligible ones of the lane's live cells lo..hi */
+            const int64_t lo = ilo > vlo ? ilo : vlo, hi = ihi < vhi ? ihi : vhi;
+            const int last_col = lo <= hi && lo == vlo, last_row = lo <= hi && hi == vhi;
+#if START == GLOBAL_MAX
+            for (int64_t i = lo; i <= hi; i++)
+                observe_$sfx(cur[SCORE][i], i, d - i, best + b, cell + 2 * b);
+#elif START == BOTTOM_RIGHT
+            if (last_col && last_row && lo == hi)
+                observe_$sfx(cur[SCORE][hi], hi, d - hi, best + b, cell + 2 * b);
+#else
+            if (last_col && START == LAST_ROW_OR_COL_MAX)
+                observe_$sfx(cur[SCORE][lo], lo, d - lo, best + b, cell + 2 * b);
+            if (last_row)
+                observe_$sfx(cur[SCORE][hi], hi, d - hi, best + b, cell + 2 * b);
+#endif
         }
         if (has_bad)
             return 1;
-        for (int64_t b = 0; corner_layer >= 0 && b < B; b++)
-            if (nq[b] + nr[b] == d)
-                corner[b] = ((T *const *)arg)[corner_layer][
-                    (b * rows[corner_layer] + d % rows[corner_layer]) * S + nq[b]];
         swept += ihi - ilo + 1;
     }
     out[0] = (double)swept;
@@ -179,11 +243,15 @@ def translation_unit(
     the emitted PE statements ``body`` and its ``scores``/``ptr`` outputs."""
     tables = [e[0] for e in signature if e[1] == "table"]
     scalars = [e[0] for e in signature if e[1] == "scalar"]
-    params = [f"    const T *const t_{name} = arg[L + {8 + n}];"
+    params = [f"    const T *const t_{name} = arg[L + {10 + n}];"
               for n, name in enumerate(tables)]
     params += [f"    const T p_{name} = p[{n}];" for n, name in enumerate(scalars)]
     head = (f"#define L {spec.n_layers}\n#define F {len(spec.alphabet.fields)}\n"
-            f"#define SYM {'int64_t' if spec.alphabet.size else 'double'}\n")
+            f"#define SYM {'int64_t' if spec.alphabet.size else 'double'}\n"
+            f"#define SCORE {spec.score_layer}\n"
+            + "".join(f"#define {rule.name} {n}\n" for n, rule in enumerate(StartRule))
+            + f"#define START {spec.start_rule.name}\n#define BETTER(a, b) ((a) "
+            f"{'>' if spec.objective is Objective.MAXIMIZE else '<'} (b))\n")
     units = [("f64", "double", "double", False)]
     if isinstance(spec.score_type, ApIntType):
         units.insert(0, ("i32", "int32_t", "int64_t", True))
@@ -262,8 +330,9 @@ def _build(compiler: str, source: str, target: Path) -> None:
                 os.unlink(leftover)
 
 
-def load(source: str) -> Dict[type, Any]:
-    """Working dtype -> entry point of ``source``, built on a cache miss."""
+def load(source: str) -> Dict[Any, Any]:
+    """Working dtype -> sweep entry point of ``source`` (and ``"walk"`` -> its
+    traceback walker), built on a cache miss."""
     if ctypes.sizeof(ctypes.c_void_p) != 8:
         raise NativeUnavailable("the native driver assumes a 64-bit platform")
     compiler = find_compiler()
@@ -278,11 +347,11 @@ def load(source: str) -> Dict[type, Any]:
     except OSError as exc:
         raise NativeUnavailable(f"cannot load {target}: {exc}") from exc
     entries = {}
-    for dtype, sfx in ((np.int32, "i32"), (np.float64, "f64")):
-        fn = getattr(lib, f"sweep_{sfx}", None)
+    for key, name in ((np.int32, "sweep_i32"), (np.float64, "sweep_f64"), ("walk", "walk")):
+        fn = getattr(lib, name, None)
         if fn is not None:
-            fn.argtypes, fn.restype = [ctypes.c_void_p] * 3, ctypes.c_int
-            entries[dtype] = fn
+            fn.argtypes, fn.restype = [ctypes.c_void_p] * 2, ctypes.c_int
+            entries[key] = fn
     return entries
 
 
@@ -312,16 +381,10 @@ def disabled() -> Iterator[None]:
         loop_forced = before
 
 
-def sweep(
-    fn: Any, dims: Sequence[int], arrays: Sequence[Optional[np.ndarray]]
-) -> Tuple[int, Optional[float]]:
-    """Call one entry point on ``arg`` operands the caller keeps alive:
-    (cells swept per lane, offending pointer or None)."""
+def call(fn: Any, dims: Sequence[int], arrays: Sequence[Optional[np.ndarray]]) -> int:
+    """Call one entry point on ``dim`` and on ``arg`` operands the caller keeps alive."""
     if not all(a is None or a.flags.c_contiguous for a in arrays):
-        raise ValueError("native sweep operands must be C-contiguous")
+        raise ValueError("native operands must be C-contiguous")
     dim = np.asarray(dims, np.int64)
     arg = np.asarray([0 if a is None else a.ctypes.data for a in arrays], np.uintp)
-    out = np.zeros(3)
-    if fn(dim.ctypes.data, arg.ctypes.data, out.ctypes.data):
-        return 0, out[1] if out[2] else int(out[1])
-    return int(out[0]), None
+    return fn(dim.ctypes.data, arg.ctypes.data)

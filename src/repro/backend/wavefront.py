@@ -3,31 +3,27 @@
 The one anti-diagonal sweep lives in :mod:`repro.backend.batch` and
 stores each matrix *skewed*, one row per anti-diagonal (cell ``(i, j)``
 at ``[i + j, i]``).  This module holds what a swept matrix needs
-afterwards: its row-major view, the closed form of the cells a sweep
-computes, the start-cell search, the pointer reader behind the traceback
-walker, the collected-matrix assembly, and the bit-identical
-:class:`~repro.core.result.CycleReport` from the closed-form wavefront
-count instead of a cycle-by-cycle simulation.
-
-Bit-identity note (``repro.verify_fuzz``'s four-way differential and
-``tests/test_backend_equivalence.py``): the start-cell search restricts
-``argmax``/``argmin`` to the computed cells, and NumPy's first-occurrence
-tie rule on the row-major matrix is the engine's smallest-(i, j) tie
-break.
+afterwards: its row-major view and the closed form of the cells a sweep
+computes (mask and count) for ``collect_matrix`` and the cell counters, the
+pointer reader behind the scalar traceback walker, the collected-matrix
+assembly, and the bit-identical :class:`~repro.core.result.CycleReport`
+from the closed-form wavefront count instead of a cycle-by-cycle
+simulation.  The start cell is not found here: both loop bodies of the sweep
+carry it per lane (``docs/backends.md``, "Reduction and traceback in the
+driver").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.result import CycleReport
-from repro.core.spec import KernelSpec, Objective, StartRule
+from repro.core.spec import KernelSpec, StartRule
 from repro.systolic.engine import INTERFACE_CYCLES_PER_BASE
 from repro.systolic.schedule import count_wavefronts
-from repro.systolic.traceback import TracebackError
 
 
 def unskew(diagonals: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -56,6 +52,20 @@ def computed_cells(
     return cells
 
 
+def count_cells(n_rows: int, n_cols: int, banding: Optional[int]) -> int:
+    """``np.count_nonzero(computed_cells(...))`` without the mask: the whole
+    Q x R block less the two triangles the band cuts off it."""
+    if banding is None:
+        return n_rows * n_cols
+
+    def tri(n: int) -> int:
+        return n * (n + 1) // 2 if n > 0 else 0
+
+    right, below = n_cols - banding - 1, n_rows - banding - 1
+    return (n_rows * n_cols - tri(right) + tri(right - n_rows)
+            - tri(below) + tri(below - n_cols))
+
+
 class SkewedPointers:
     """One lane's skewed pointer rows behind the traceback walker's read API.
 
@@ -69,39 +79,6 @@ class SkewedPointers:
     def read(self, i: int, j: int) -> int:
         """The pointer stored for matrix cell (i, j)."""
         return self._ptrs[i + j, i]
-
-
-def select_start(
-    spec: KernelSpec, layer: np.ndarray, computed: np.ndarray
-) -> Tuple[float, Tuple[int, int]]:
-    """Locate the reported score / traceback start cell of one matrix.
-
-    ``layer`` and ``computed`` are the (un-skewed) score layer and
-    computed-cell mask of one (n_rows+1, n_cols+1) DP matrix, for any
-    start rule but ``BOTTOM_RIGHT`` (whose corner the sweep captures
-    itself).  NumPy's first-occurrence tie rule over the row-major
-    flattened matrix equals the engine's smallest-(i, j) tie break.
-    """
-    n_rows, n_cols = layer.shape[0] - 1, layer.shape[1] - 1
-    eligible = computed.copy()
-    if spec.start_rule is StartRule.LAST_ROW_MAX:
-        eligible[:n_rows, :] = False
-    elif spec.start_rule is StartRule.LAST_ROW_OR_COL_MAX:
-        edge = np.zeros_like(eligible)
-        edge[n_rows, :] = True
-        edge[:, n_cols] = True
-        eligible &= edge
-    if not eligible.any():
-        raise TracebackError(
-            f"{spec.name}: no cell satisfied start rule "
-            f"{spec.start_rule.value}"
-        )
-    if spec.objective is Objective.MAXIMIZE:
-        flat = int(np.argmax(np.where(eligible, layer, -np.inf)))
-    else:
-        flat = int(np.argmin(np.where(eligible, layer, np.inf)))
-    si, sj = divmod(flat, n_cols + 1)
-    return layer[si, sj], (si, sj)
 
 
 def cycle_report(

@@ -70,56 +70,54 @@ class KmerIndex:
         return int(self._positions.size)
 
     def lookup(self, code: int) -> np.ndarray:
-        """Genome positions of one k-mer code (ascending).
-
-        Repeat-masked k-mers (more than ``max_occ`` occurrences) return
-        an empty array.
-        """
+        """Genome positions of one k-mer code, ascending (the index is built
+        with a stable sort); none for a repeat-masked k-mer (more than
+        ``max_occ`` occurrences)."""
         lo = int(np.searchsorted(self._sorted_codes, code, side="left"))
         hi = int(np.searchsorted(self._sorted_codes, code, side="right"))
         if hi - lo > self.max_occ:
             return np.empty(0, dtype=np.int64)
-        return np.sort(self._positions[lo:hi])
+        return self._positions[lo:hi]
 
-    def anchors(
-        self, read: Sequence[int], max_anchors: int = 128
-    ) -> List[Anchor]:
+    def _hits(self, read: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(read offsets, genome positions) of every seed hit of a read, by
+        offset and then position: ``lookup`` of all its k-mers at once."""
+        codes = kmer_codes(np.asarray(read, dtype=np.int64), self.k)
+        lo = np.searchsorted(self._sorted_codes, codes, side="left")
+        counts = np.searchsorted(self._sorted_codes, codes, side="right") - lo
+        counts[counts > self.max_occ] = 0
+        offsets = np.repeat(np.arange(codes.size), counts)
+        first = np.cumsum(counts) - counts  # of each offset's run of hits
+        nth = np.arange(offsets.size) - np.repeat(first, counts)
+        return offsets, self._positions[np.repeat(lo, counts) + nth]
+
+    def anchors(self, read: Sequence[int], max_anchors: int = 128) -> List[Anchor]:
         """Seed anchors of a read against the reference (capped).
 
         When the raw anchor count exceeds ``max_anchors`` the list is
         evenly subsampled, bounding the O(n²) chaining DP downstream.
         """
-        read_codes = kmer_codes(np.asarray(read, dtype=np.int64), self.k)
-        anchors: List[Anchor] = []
-        for offset in range(read_codes.size):
-            for pos in self.lookup(int(read_codes[offset])):
-                anchors.append(
-                    Anchor(read_pos=offset, ref_pos=int(pos), length=self.k)
-                )
-        if len(anchors) > max_anchors:
-            stride = len(anchors) / max_anchors
-            anchors = [
-                anchors[int(i * stride)] for i in range(max_anchors)
-            ]
-        return anchors
+        offsets, positions = self._hits(read)
+        if offsets.size > max_anchors:
+            stride = offsets.size / max_anchors
+            keep = (np.arange(max_anchors) * stride).astype(np.int64)
+            offsets, positions = offsets[keep], positions[keep]
+        return [
+            Anchor(read_pos=offset, ref_pos=pos, length=self.k)
+            for offset, pos in zip(offsets.tolist(), positions.tolist())
+        ]
 
-    def best_diagonal(
-        self, read: Sequence[int], bin_width: int = 16
-    ) -> Tuple[int, int]:
+    def best_diagonal(self, read: Sequence[int], bin_width: int = 16) -> Tuple[int, int]:
         """(diagonal, votes) of the strongest binned diagonal.
 
         Diagonals (``ref_pos - read_pos``) are binned so noisy long-read
         seeds landing a few bases apart still vote together.  Returns
         ``(0, 0)`` when the read produces no usable seeds.
         """
-        read_codes = kmer_codes(np.asarray(read, dtype=np.int64), self.k)
-        diagonals: List[int] = []
-        for offset in range(read_codes.size):
-            for pos in self.lookup(int(read_codes[offset])):
-                diagonals.append(int(pos) - offset)
-        if not diagonals:
+        offsets, positions = self._hits(read)
+        if not offsets.size:
             return 0, 0
-        diag_arr = np.asarray(diagonals, dtype=np.int64)
+        diag_arr = positions - offsets
         bins = diag_arr // bin_width
         values, counts = np.unique(bins, return_counts=True)
         winner = int(np.argmax(counts))

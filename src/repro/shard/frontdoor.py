@@ -62,6 +62,10 @@ from repro.shard.ring import DEFAULT_VNODES, HashRing
 from repro.shard.router import FingerprintRouter
 
 
+#: The longest request line a client may send (asyncio's own default, named).
+MAX_LINE_BYTES = 2 ** 16
+
+
 @dataclass(frozen=True)
 class FrontDoorConfig:
     """Tuning knobs of the front door.
@@ -265,7 +269,7 @@ class FrontDoor:
         for handle in handles:
             await self.attach(handle)
         self._server = await asyncio.start_server(
-            self._handle_client, address[0], address[1]
+            self._handle_client, address[0], address[1], limit=MAX_LINE_BYTES
         )
         self._accepting = True
         bound = self._server.sockets[0].getsockname()
@@ -362,7 +366,14 @@ class FrontDoor:
         client = _ClientConn(writer)
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:  # a line over the stream limit: answer, hang up
+                    await client.send(encode_line({
+                        "type": "result", "id": None, "status": "error",
+                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    }))
+                    break
                 if not raw:
                     break
                 line = raw.strip()

@@ -13,8 +13,11 @@ matrix-boundary moves along row 0 / column 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.result import Alignment, Move
 from repro.core.spec import EndRule, KernelSpec, StartRule, TBTransition
@@ -85,9 +88,48 @@ class BestCellTracker:
         return max(1, math.ceil(math.log2(max(2, self.n_pe)))) + 2
 
 
-#: Per FSM, the (state, pointer) -> (move, next state) it has answered; a
-#: call that raises is not kept, so it raises again wherever it recurs.
-_TRANSITIONS: Dict[TBTransition, Dict[Tuple[int, int], Tuple[Move, int]]] = {}
+#: What a byte of a table or a walked path reads as, and the byte where the
+#: FSM has to be asked itself: it raised, did not answer a :class:`Move`, or
+#: left the 255 states a byte can index.
+MOVE_OF, TRAP = (Move.MATCH, Move.DEL, Move.INS, Move.END), 255
+
+
+@functools.lru_cache(maxsize=256)  # specs share few FSMs; a miss rebuilds
+def transition_table(
+    fsm: TBTransition, initial_state: int, ptr_bits: int
+) -> Tuple[Dict[Tuple[int, int], Tuple[Move, int]], np.ndarray, np.ndarray]:
+    """One traceback FSM as data, what both walkers read instead of calling
+    it: ``fsm`` closed from ``initial_state`` over every pointer of
+    ``ptr_bits`` bits (at most a byte's worth: wider pointers ask the FSM as
+    they come).  ``steps`` is the scalar walker's view — a call that raises
+    is not kept, so it raises again wherever it recurs — and ``move`` /
+    ``next_state`` are the same answers as ``(states, pointers)`` bytes for
+    :mod:`repro.backend.native`'s walker, states numbered in discovery order."""
+    n_ptr = 1 << min(ptr_bits, 8)
+    states, index = [initial_state], {initial_state: 0}
+    steps: Dict[Tuple[int, int], Tuple[Move, int]] = {}
+    for state in states:  # grows while new states are reached
+        for ptr in range(n_ptr):
+            try:
+                move, after = steps[state, ptr] = fsm(state, ptr)
+                if after not in index and len(states) < TRAP:
+                    index[after] = len(states)
+                    states.append(after)
+            except Exception:  # the walker that meets it lets the FSM raise
+                steps.pop((state, ptr), None)
+    codes = np.full((2, len(states), n_ptr), TRAP, np.uint8)
+    for (state, ptr), (move, after) in steps.items():
+        if move in MOVE_OF and after in index:
+            codes[:, index[state], ptr] = MOVE_OF.index(move), index[after]
+    return (steps, *codes)
+
+
+def stop_flags(end_rule: EndRule) -> Tuple[bool, bool]:
+    """(stop at row 0, stop at column 0): row 0 ends every walk but
+    TOP_LEFT's; column 0 every other but TOP_ROW's (SENTINEL too: the path
+    has reached a zero-score init cell)."""
+    stop_at_row0 = end_rule is not EndRule.TOP_LEFT
+    return stop_at_row0, stop_at_row0 and end_rule is not EndRule.TOP_ROW
 
 
 def walk_traceback(
@@ -99,11 +141,10 @@ def walk_traceback(
     if spec.traceback is None or spec.tb_transition is None:
         raise TracebackError(f"{spec.name} has no traceback stage")
     end_rule = spec.traceback.end
-    # Row 0 ends every walk but TOP_LEFT's; column 0 every other but
-    # TOP_ROW's (SENTINEL too: the path has reached a zero-score init cell).
-    stop_at_row0 = end_rule is not EndRule.TOP_LEFT
-    stop_at_col0 = stop_at_row0 and end_rule is not EndRule.TOP_ROW
-    known = _TRANSITIONS.setdefault(spec.tb_transition, {})
+    stop_at_row0, stop_at_col0 = stop_flags(end_rule)
+    known = transition_table(
+        spec.tb_transition, spec.traceback.initial_state, spec.tb_ptr_bits
+    )[0]
     read = memory.read
     state = spec.traceback.initial_state
     i, j = start
@@ -124,10 +165,7 @@ def walk_traceback(
             i -= 1
             continue
         key = (state, read(i, j))
-        step = known.get(key)
-        if step is None:
-            step = known[key] = spec.tb_transition(*key)
-        move, state = step
+        move, state = known.get(key) or spec.tb_transition(*key)
         if move is Move.MATCH:
             i -= 1
             j -= 1

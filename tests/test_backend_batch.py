@@ -11,13 +11,21 @@ invalid pair in submission order raises the same error the engine
 would.  (``compiled_align`` is a batch of one through the same driver,
 so the reference here is the engine, never the compiled backend.)
 
+The start cell and the traceback belong to the sweep (``TestRunningBest``,
+``TestFinishingExceptionParity``): each lane's running best is
+``BestCellTracker`` on its own cells, and whatever the traceback FSM
+does — raise, answer nonsense, outgrow a byte of states — the batch
+reports what the engine's scalar walker reports, under both loops.
+
 Alongside ride the pre-warm regressions (lowering is memoized and
 primed at construction/worker-ready time, never on the first request)
 and the ``DeviceRuntime.run`` plumbing (whole batch first, per-pair for
 ``timeout``, and the per-pair fallback that keeps failure isolation).
 """
 
+import contextlib
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
@@ -32,16 +40,26 @@ from repro.backend import (
     get_batch_backend,
     prewarm,
 )
-from repro.backend import compiler
+from repro.backend import batch, compiler, native
+from repro.backend.wavefront import computed_cells, count_cells
+from repro.core.result import Move
+from repro.core.spec import (
+    TB_DIAG, TB_UP, EndRule, Objective, StartRule, TracebackSpec, band_contains,
+)
+from repro.kernels.common import linear_tb
 from repro.experiments.workloads import WORKLOADS
 from repro.host import DeviceRuntime, RunOptions
 from repro.kernels import get_kernel, kernel_ids
-from repro.obs import TraceRecorder, set_recorder
+from repro.obs import MetricsRecorder, TraceRecorder, set_recorder, use_recorder
 from repro.shard import Deployment
 from repro.synth import LaunchConfig
 from repro.systolic import align
 from repro.systolic.engine import SystolicAlignmentError
+from repro.systolic.traceback import BestCellTracker, TracebackError
+from repro import verify_fuzz
 from repro.verify_fuzz import generate_case
+from tests.test_backend_native import swept
+from tests.test_spec import make_spec
 
 ALL_KERNELS = tuple(kernel_ids())
 
@@ -265,6 +283,236 @@ class TestSkewedStorage:
             tracemalloc.stop()
         assert len(results) == 32
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+    @pytest.mark.parametrize("kid", (4, 7, 6, 12))  # every searching start rule
+    def test_searched_score_layer_rolls_through_three_rows(self, kid):
+        """Nothing outlives the sweep unless ``collect_matrix``: the start
+        cell is carried, not searched for afterwards."""
+        spec = get_kernel(kid)
+        pairs = _shaped_batch(kid, [(40, 44), (37, 41)])
+        for loop in (contextlib.nullcontext, native.disabled):
+            with loop():
+                _cells, bucket = swept(spec, pairs, collect=False)
+                assert bucket.work[spec.score_layer].shape[1] == 3
+                _cells, kept = swept(spec, pairs, collect=True)
+                assert kept.work[spec.score_layer].shape[1] == 40 + 44 + 1
+                assert np.array_equal(bucket.cell, kept.cell)
+                assert np.array_equal(bucket.best, kept.best)
+
+    @pytest.mark.parametrize("banding", (None, 0, 1, 3, 50))
+    def test_cell_count_is_the_mask_count(self, banding):
+        for n_rows, n_cols in itertools.product((1, 2, 5, 9, 30), repeat=2):
+            assert count_cells(n_rows, n_cols, banding) == np.count_nonzero(
+                computed_cells(n_rows, n_cols, banding)
+            )
+
+    def test_metrics_build_no_mask(self, monkeypatch):
+        """Counting cells is closed-form: turning metrics on allocates no
+        (Q+1) x (R+1) mask per shape."""
+        def no_mask(*_args):
+            raise AssertionError("computed_cells without collect_matrix")
+
+        monkeypatch.setattr(batch, "computed_cells", no_mask)
+        spec = _with_band(12, 3)
+        pairs = _shaped_batch(12, [(20, 22), (17, 19), (20, 22)])
+        with use_recorder(TraceRecorder()) as recorder:
+            compiled_align_batch(spec, pairs)
+        assert recorder.snapshot()["counters"]["engine.cells"] == sum(
+            count_cells(len(q), len(r), 3) for q, r in pairs
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class _FlatParams:
+    level: int = 5
+
+
+def _flat_pe(cell):
+    """Every computed cell scores ``level``: every eligible cell ties."""
+    return (cell.diag[0] - cell.diag[0] + cell.params.level,), TB_DIAG
+
+
+SEARCHING = (StartRule.GLOBAL_MAX, StartRule.LAST_ROW_MAX, StartRule.LAST_ROW_OR_COL_MAX)
+LOOPS = dict(verify_fuzz._LOOPS)  # the machine's loop, then the NumPy one
+
+
+def _tracked_start(spec, result, n_rows, n_cols):
+    """``BestCellTracker`` over the collected matrix, cells in any order."""
+    tracker = BestCellTracker(spec, 3, n_rows, n_cols)
+    cells = [
+        (i, j) for i in range(1, n_rows + 1) for j in range(1, n_cols + 1)
+        if band_contains(spec.banding, i, j)
+    ]
+    random.Random(n_rows * 31 + n_cols).shuffle(cells)
+    for i, j in cells:
+        tracker.observe((i + j) % 3, i, j, result.matrix[spec.score_layer, i, j])
+    return tracker.reduce()
+
+
+class TestRunningBest:
+    """Each lane's running (best, i, j) is ``BestCellTracker.observe``."""
+
+    SHAPES = [(9, 9), (7, 8), (8, 6), (9, 7), (3, 5)]
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    @pytest.mark.parametrize("banding", (None, 3))
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("rule", SEARCHING)
+    def test_constant_scores_tie_to_the_smallest_cell(
+        self, rule, objective, banding, loop
+    ):
+        spec = make_spec(
+            name=f"flat_{rule.value}_{objective.value}_{banding}",
+            pe_func=_flat_pe, default_params=_FlatParams(), start_rule=rule,
+            objective=objective, banding=banding,
+            traceback=TracebackSpec(end=EndRule.TOP_LEFT), tb_transition=linear_tb,
+        )
+        pairs = _shaped_batch(1, self.SHAPES)
+        with LOOPS[loop]():
+            batched = compiled_align_batch(spec, pairs, n_pe=4, collect_matrix=True)
+            rolled = compiled_align_batch(spec, pairs, n_pe=4)
+        for (query, reference), result, plain in zip(pairs, batched, rolled):
+            assert_same_result(
+                _single(spec, query, reference, 4, collect_matrix=True),
+                result, collect_matrix=True,
+            )
+            assert_same_result(result, plain)
+            score, i, j = _tracked_start(spec, result, len(query), len(reference))
+            assert (result.score, result.start) == (score, (i, j))
+            assert result.score == 5
+            if rule is StartRule.GLOBAL_MAX:
+                assert result.start == (1, 1)
+            elif rule is StartRule.LAST_ROW_MAX:
+                assert result.start == (len(query), max(1, len(query) - (banding or 99)))
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    @pytest.mark.parametrize("banding", (None, 2))
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("rule", SEARCHING)
+    @pytest.mark.parametrize("kid", (3, 4))  # clamped at 0: zeros tie everywhere
+    def test_real_scores_on_ragged_lanes(self, kid, rule, objective, banding, loop):
+        spec = dataclasses.replace(
+            get_kernel(kid), name=f"k{kid}_{rule.value}_{objective.value}_{banding}",
+            start_rule=rule, objective=objective, banding=banding,
+        )
+        pairs = _shaped_batch(kid, [(24, 24), (19, 20), (22, 23), (24, 22), (17, 19)])
+        with LOOPS[loop]():
+            batched = compiled_align_batch(spec, pairs, n_pe=4, collect_matrix=True)
+            rolled = compiled_align_batch(spec, pairs, n_pe=4)
+        for (query, reference), result, plain in zip(pairs, batched, rolled):
+            assert_same_result(
+                _single(spec, query, reference, 4, collect_matrix=True),
+                result, collect_matrix=True,
+            )
+            assert_same_result(result, plain)
+            score, i, j = _tracked_start(spec, result, len(query), len(reference))
+            assert (result.score, result.start) == (score, (i, j))
+
+
+def _engine_failure(spec, pairs):
+    """What the engine raises on the first pair it cannot finish."""
+    for query, reference in pairs:
+        try:
+            align(spec, query, reference, n_pe=4)
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc), str(exc)
+    return None
+
+
+def _batch_failure(spec, pairs):
+    try:
+        compiled_align_batch(spec, pairs, n_pe=4)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+    return None
+
+
+def _no_deletions(state, ptr):
+    if ptr == TB_UP:
+        raise ValueError(f"malformed pointer {ptr} in state {state}")
+    return linear_tb(state, ptr)
+
+
+def _nonsense(state, ptr):
+    return ("sideways" if ptr == TB_UP else linear_tb(state, ptr)[0]), state
+
+
+def _branching_states(state, ptr):
+    """A new state per path prefix: 255 of them index three steps deep."""
+    return linear_tb(0, ptr)[0], state * 4 + ptr + 1
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+class TestFinishingExceptionParity:
+    """Start-cell and traceback failures: the engine's exception, type and
+    text, for the first failing pair in submission order — good pairs
+    before it or not.  (A walk that never terminates cannot be built from
+    an FSM: every ``Move`` but ``END`` steps towards (0, 0), so the step
+    bound of both walkers is reachable only through a non-``Move``.)"""
+
+    def test_band_that_excludes_the_last_row(self, loop):
+        spec = _with_band(7, 2)
+        spec = dataclasses.replace(spec, banding=2)
+        assert spec.start_rule is StartRule.LAST_ROW_MAX
+        good = _shaped_batch(7, [(8, 8), (7, 9)])
+        (empty,) = _shaped_batch(7, [(12, 3)])  # row 12: every |12 - j| > 2
+        with pytest.raises(TracebackError, match="no cell satisfied start rule"):
+            align(spec, *empty, n_pe=4)
+        for pairs in ([*good, empty, good[0]], [empty, *good], [good[0], empty, empty]):
+            with LOOPS[loop]():
+                assert _batch_failure(spec, pairs) == _engine_failure(spec, pairs)
+        with LOOPS[loop]():
+            assert _batch_failure(spec, good) is None
+
+    @pytest.mark.parametrize("fsm, error", [
+        (_no_deletions, ValueError), (_nonsense, TracebackError),
+    ])
+    def test_fsm_failure_in_submission_order(self, loop, fsm, error):
+        plain = get_kernel(1)
+        spec = dataclasses.replace(plain, name=f"k1_{fsm.__name__}", tb_transition=fsm)
+        reference = tuple(random.Random(4).randrange(4) for _ in range(20))
+        clean = (reference[:12] + reference[13:], reference)  # an insertion only
+        deleting = (reference[:9] + (3 - reference[9],) * 2 + reference[9:], reference)
+        assert Move.DEL in align(plain, *deleting).alignment.moves
+        assert Move.DEL not in align(plain, *clean).alignment.moves
+        for pairs in ([clean, deleting, clean], [deleting, clean], [clean, clean, deleting]):
+            want = _engine_failure(spec, pairs)
+            assert want is not None and want[0] is error
+            with LOOPS[loop]():
+                assert _batch_failure(spec, pairs) == want
+        with LOOPS[loop]():
+            for got in compiled_align_batch(spec, [clean, clean], n_pe=4):
+                assert_same_result(_single(spec, *clean, 4), got)
+
+    def test_start_failure_and_fsm_failure_keep_their_order(self, loop):
+        spec = dataclasses.replace(
+            get_kernel(7), name="k7_band2_no_deletions", banding=2,
+            tb_transition=_no_deletions,
+        )
+        reference = tuple(random.Random(9).randrange(4) for _ in range(16))
+        deleting = (reference[:8] + (3 - reference[8],) * 2 + reference[8:], reference)
+        (empty,) = _shaped_batch(7, [(12, 3)])
+        assert _engine_failure(spec, [deleting])[0] is ValueError
+        assert _engine_failure(spec, [empty])[0] is TracebackError
+        for pairs in ([deleting, empty], [empty, deleting]):
+            with LOOPS[loop]():
+                assert _batch_failure(spec, pairs) == _engine_failure(spec, pairs)
+
+    def test_more_than_255_states_still_walks_like_the_engine(self, loop):
+        spec = dataclasses.replace(
+            get_kernel(1), name="k1_branching_states", tb_transition=_branching_states
+        )
+        pairs = _shaped_batch(1, [(40, 44), (2, 2), (30, 30)])
+        with LOOPS[loop](), use_recorder(MetricsRecorder()) as recorder:
+            batched = compiled_align_batch(spec, pairs, n_pe=32)
+        for (query, reference), result in zip(pairs, batched):
+            assert_same_result(_single(spec, query, reference, 32), result)
+        counters = recorder.snapshot()["counters"]
+        if "engine.native.walks" in counters:  # the two long lanes hit the trap
+            assert counters["engine.traceback.rewalks"] == 2
+        else:
+            assert "engine.traceback.rewalks" not in counters
 
 
 class TestBatchExceptionParity:

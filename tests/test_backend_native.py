@@ -25,11 +25,16 @@ import pytest
 
 from repro.backend import batch, compiled_align, compiled_align_batch, compiler
 from repro.backend import lower, native, prewarm
+from repro.backend.wavefront import SkewedPointers
+from repro.core.result import Alignment, Move
+from repro.core.spec import EndRule, StartRule, TracebackSpec
 from repro.hdl_types import ApFixedType, ApIntType, Overflow, Rounding
 from repro.kernels import get_kernel
+from repro.kernels.common import affine_tb
 from repro.obs import MetricsRecorder, use_recorder
 from repro.systolic.engine import align
 from repro.systolic.schedule import count_wavefronts
+from repro.systolic.traceback import MOVE_OF, walk_traceback
 from repro import verify_fuzz
 from repro.verify_fuzz import make_corpus, run_corpus
 from tests.test_typed_lowering import (  # noqa: F401 - dtypes is a fixture
@@ -61,7 +66,8 @@ def fresh(monkeypatch, tmp_path):
 
 
 def counted(fn, *args, **kwargs):
-    """``fn``'s result and the ``engine.native.*`` it recorded meanwhile."""
+    """``fn``'s result and the ``engine.native.*`` / ``engine.traceback.*`` it
+    recorded meanwhile."""
     with use_recorder(MetricsRecorder()) as recorder:
         result = fn(*args, **kwargs)
     snapshot = recorder.snapshot()
@@ -69,14 +75,17 @@ def counted(fn, *args, **kwargs):
         name: value
         for part in ("counters", "gauges")
         for name, value in snapshot[part].items()
-        if name.startswith("engine.native")
+        if name.startswith(("engine.native", "engine.traceback"))
     }
 
 
 def both_loops(spec, pairs, params=None):
-    """Engine-identical under the C sweep (which must run) and the NumPy one."""
+    """Engine-identical under the C sweep and walk (which must run, every
+    lane to its end) and the NumPy loop with the scalar walker."""
     _none, seen = counted(assert_identical, spec, pairs, params)
     assert seen.get("engine.native.sweeps") and "engine.native.fallbacks" not in seen
+    assert "engine.traceback.rewalks" not in seen
+    assert bool(seen.get("engine.native.walks")) == spec.has_traceback
     with native.disabled():
         _none, seen = counted(assert_identical, spec, pairs, params)
     assert not seen
@@ -107,7 +116,8 @@ def assert_same_buffers(spec, pairs, params=None):
         assert cells == want_cells
         for a, b in zip(got.work, want.work):
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
-        assert np.array_equal(got.corner, want.corner, equal_nan=True)
+        assert np.array_equal(got.best, want.best, equal_nan=True)
+        assert np.array_equal(got.cell, want.cell)
         assert (got.ptrs is None) == (want.ptrs is None)
         if got.ptrs is not None:
             assert np.array_equal(got.ptrs, want.ptrs)
@@ -185,6 +195,104 @@ class TestEquivalence:
         assert_same_buffers(spec, [(tuple(query), tuple(reference))])
         _cells, bucket = swept(spec, [(tuple(query), tuple(reference))])
         assert np.isnan(bucket.work[0]).any()
+
+
+TRACEBACK = [spec for spec in REGISTRY if spec.has_traceback]
+
+
+def c_walk(spec, bucket, lane):
+    """The alignment ``_batch_impl`` wraps for one natively walked lane."""
+    n_moves, end_i, end_j, ended = bucket.walked[lane].tolist()
+    assert ended == 1
+    path = bucket.moves[lane, :n_moves][::-1].tobytes()
+    return Alignment(
+        tuple(MOVE_OF[code] for code in path), end_i, int(bucket.cell[lane, 0]),
+        end_j, int(bucket.cell[lane, 1]),
+    )
+
+
+class TestWalker:
+    """The fixed C walker against the scalar walker against the engine."""
+
+    @pytest.mark.parametrize("spec", TRACEBACK, ids=lambda s: s.name)
+    def test_three_walkers_on_full_and_ragged_buckets(self, spec):
+        full = [(tuple(q[:21]), tuple(r[:24])) for q, r in _workload(spec)]
+        for pairs in (full, ragged(full)):
+            _cells, bucket = swept(spec, pairs, collect=False)
+            assert bucket.moves.shape == (len(pairs), 21 + 24 + 5)
+            for lane, (query, reference) in enumerate(pairs):
+                start = tuple(bucket.cell[lane].tolist())
+                want = align(spec, query, reference, n_pe=4)
+                assert start == want.start
+                scalar = walk_traceback(spec, SkewedPointers(bucket.ptrs[lane]), start)
+                assert c_walk(spec, bucket, lane) == scalar == want.alignment
+
+    @pytest.mark.parametrize("start_rule", list(StartRule))
+    @pytest.mark.parametrize("end_rule", list(EndRule))
+    def test_end_rules_and_paths_along_row_and_column_zero(self, end_rule, start_rule):
+        spec = dataclasses.replace(
+            get_kernel(1), name=f"k1_{start_rule.value}_{end_rule.value}",
+            start_rule=start_rule, traceback=TracebackSpec(end=end_rule),
+        )
+        reference = dna_pairs(1, 30, seed=3)[0][1]
+        pairs = [
+            (reference[22:], reference),      # a suffix: the path runs into row 0
+            (reference, reference[22:]),      # ... and into column 0
+            (reference[:8], reference),
+            (reference[3:17], reference[:26]),
+            (reference, reference),
+        ]
+        both_loops(spec, pairs)
+        results = compiled_align_batch(spec, pairs, n_pe=4)
+        if end_rule is EndRule.TOP_LEFT:  # boundary moves are part of the path
+            assert all(result.end == (0, 0) for result in results)
+        if start_rule is StartRule.BOTTOM_RIGHT:
+            along_row0, along_col0 = (r.alignment for r in results[:2])
+            if end_rule is EndRule.TOP_LEFT:
+                assert along_row0.cigar == "22I8M" and along_col0.cigar == "22D8M"
+            else:
+                assert along_row0.cigar == "8M" and results[0].end == (0, 22)
+                assert (along_col0.cigar == "8M") == (end_rule is not EndRule.TOP_ROW)
+
+    def test_one_bucket_is_two_native_calls_and_no_python_walking(self, monkeypatch):
+        asked, reads, calls = [], [], []
+
+        def counting_tb(state, ptr):
+            asked.append((state, ptr))
+            return affine_tb(state, ptr)
+
+        spec = dataclasses.replace(
+            get_kernel(2), name="k2_counting", tb_transition=counting_tb
+        )
+        pairs = [(q[: 38 - k % 4], r[: 38 - k % 3])  # one bucket, ragged
+                 for k, (q, r) in enumerate(dna_pairs(10, 40, seed=6))]
+        want = [align(spec, q, r, n_pe=4) for q, r in pairs]
+        assert len(set(asked)) == len(asked) == 3 * 16  # the eager table, once
+        call, read = native.call, SkewedPointers.read
+        monkeypatch.setattr(
+            native, "call", lambda *args: calls.append(1) or call(*args))
+        monkeypatch.setattr(
+            SkewedPointers, "read", lambda *args: reads.append(1) or read(*args))
+        del asked[:]
+        got, seen = counted(compiled_align_batch, spec, pairs, n_pe=4)
+        assert len(calls) == 2 and not asked and not reads
+        assert seen == {"engine.native.sweeps": 1, "engine.native.walks": 1}
+        for result, ref in zip(got, want):
+            assert (result.score, result.start, result.end) == (ref.score, ref.start, ref.end)
+            assert result.alignment == ref.alignment and result.cycles == ref.cycles
+
+    def test_score_only_kernel_is_one_native_call(self, monkeypatch):
+        calls, call = [], native.call
+        monkeypatch.setattr(
+            native, "call", lambda *args: calls.append(1) or call(*args))
+        spec = get_kernel(10)
+        _cells, bucket = swept(spec, [(q[:20], r[:20]) for q, r in _workload(spec)], collect=False)
+        assert len(calls) == 1 and bucket.walked is None and bucket.moves is None
+
+    def test_numpy_loop_leaves_the_walking_to_the_scalar_walker(self):
+        with native.disabled():
+            _cells, bucket = swept(get_kernel(2), dna_pairs(3, 20, seed=1), collect=False)
+        assert bucket.walked is None and bucket.ptrs is not None
 
 
 class TestPointerWidth:
@@ -416,7 +524,9 @@ class TestFuzzAndCli:
         report, seen = counted(run_corpus, corpus, workers=1)
         assert report.passed and report.batched_pairs == len(corpus)
         assert seen["engine.native.sweeps"] > len(corpus)
+        assert seen["engine.native.walks"] > sum(get_kernel(c.kernel_id).has_traceback for c in corpus)
         assert "engine.native.fallbacks" not in seen
+        assert "engine.traceback.rewalks" not in seen
         # per case and once per batched leg, each under both loops
         assert entered.count("default") == entered.count("numpy") == len(corpus) + 1
 

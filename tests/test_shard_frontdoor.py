@@ -17,6 +17,7 @@ import json
 import os
 import random
 import signal
+import socket
 import time
 
 import multiprocessing
@@ -25,6 +26,7 @@ import pytest
 
 from repro.service import AlignmentClient, InProcClient, Status
 from repro.shard import Deployment, FrontDoorConfig, ShardServer
+from repro.shard.frontdoor import MAX_LINE_BYTES
 from repro.shard.router import FingerprintRouter
 from repro.shard.worker import DRAIN, run_inline
 
@@ -125,6 +127,22 @@ class TestShardTransparency:
 
     def test_ping(self, client):
         assert client.ping()
+
+    def test_oversize_line_gets_an_error_and_the_door_stays_open(self, sharded):
+        # asyncio's readline raises ValueError past the stream limit; it used
+        # to escape _handle_client and kill the task with no protocol answer
+        with socket.create_connection(sharded.address, timeout=30) as hostile:
+            hostile.sendall(b"x" * (70 * 1024) + b"\n")
+            answer = json.loads(hostile.makefile("rb").readline())
+        assert answer["status"] == "error"
+        assert str(MAX_LINE_BYTES) in answer["error"]
+        second = AlignmentClient(*sharded.address, read_timeout=60.0)
+        try:
+            assert second.ping()
+            query, reference = workload(1)[0]
+            assert second.align(KERNEL, query, reference).status is Status.OK
+        finally:
+            second.close()
 
 
 class TestAggregation:

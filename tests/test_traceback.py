@@ -13,9 +13,17 @@ from repro.core.spec import (
     StartRule,
     TracebackSpec,
 )
-from repro.systolic.traceback import BestCellTracker, TracebackError, walk_traceback
+from repro.systolic.traceback import (
+    MOVE_OF,
+    TRAP,
+    BestCellTracker,
+    TracebackError,
+    stop_flags,
+    transition_table,
+    walk_traceback,
+)
 from tests.test_spec import make_spec
-from repro.kernels.common import linear_tb
+from repro.kernels.common import affine_tb, linear_tb, two_piece_tb
 
 
 class FakeMemory:
@@ -109,7 +117,8 @@ class TestWalker:
         first = walk_traceback(spec, FakeMemory(ptrs), (3, 3))
         again = walk_traceback(spec, FakeMemory(ptrs), (3, 3))
         assert first == again and first.cigar == "2M1I1D"
-        assert sorted(asked) == [(0, TB_DIAG), (0, TB_UP), (0, TB_LEFT)]
+        # the eager table: every pointer of every reachable state, once
+        assert sorted(asked) == [(0, TB_DIAG), (0, TB_UP), (0, TB_LEFT), (0, TB_END)]
 
     def test_fsm_error_surfaces_every_time(self):
         def strict_tb(state, ptr):
@@ -124,6 +133,76 @@ class TestWalker:
         for _ in range(2):
             with pytest.raises(ValueError, match="malformed pointer 7"):
                 walk_traceback(spec, FakeMemory(ptrs), (2, 2))
+
+
+class TestTransitionTable:
+    """The eager table both walkers read: bytes and dict are one closure."""
+
+    @pytest.mark.parametrize("fsm, bits, n_states", [
+        (linear_tb, 2, 1), (affine_tb, 4, 3), (two_piece_tb, 7, 5),
+    ])
+    def test_registry_fsms_close_without_a_trap(self, fsm, bits, n_states):
+        steps, move_of, next_state = table = transition_table(fsm, 0, bits)
+        assert move_of.shape == next_state.shape == (n_states, 1 << bits)
+        assert move_of.dtype == next_state.dtype == "uint8"
+        assert TRAP not in move_of
+        assert move_of.flags.c_contiguous and next_state.flags.c_contiguous
+        for state in range(n_states):  # these FSMs number their states 0..n-1
+            for ptr in range(1 << bits):
+                move, after = fsm(state, ptr)
+                assert steps[state, ptr] == (move, after)
+                assert MOVE_OF[move_of[state, ptr]] is move
+                assert next_state[state, ptr] == after
+        assert transition_table(fsm, 0, bits) is table  # built once
+
+    def test_states_are_numbered_in_discovery_order(self):
+        def hop(state, ptr):
+            return Move.MATCH, {7: 40, 40: -3, -3: 7}[state]
+
+        _steps, _move_of, next_state = transition_table(hop, 7, 2)
+        assert next_state.tolist() == [[1] * 4, [2] * 4, [0] * 4]
+
+    def test_a_raising_or_non_move_answer_is_a_trap_and_not_kept(self):
+        def picky(state, ptr):
+            if ptr == 2:
+                raise ValueError("no such pointer")
+            return ("M" if ptr == 3 else Move.DEL), state
+
+        steps, move_of, _next_state = transition_table(picky, 0, 2)
+        assert move_of.tolist() == [[1, 1, TRAP, TRAP]]
+        assert (0, 2) not in steps and steps[0, 3] == ("M", 0)
+
+    def test_more_states_than_a_byte_indexes(self):
+        def counter(state, ptr):
+            return Move.MATCH, state + 1
+
+        _steps, move_of, next_state = transition_table(counter, 0, 2)
+        assert move_of.shape == (TRAP, 4)
+        assert (move_of[:-1] == 0).all() and (move_of[-1] == TRAP).all()
+        assert next_state[:-1, 0].tolist() == list(range(1, TRAP))
+
+    def test_pointers_wider_than_a_byte_are_asked_as_they_come(self):
+        asked = []
+
+        def wide(state, ptr):
+            asked.append(ptr)
+            return (Move.MATCH if ptr == 300 else Move.END), 0
+
+        spec = make_spec(
+            traceback=TracebackSpec(end=EndRule.TOP_LEFT), tb_transition=wide,
+            tb_ptr_bits=12,
+        )
+        assert transition_table(wide, 0, 12)[1].shape == (1, 256)
+        del asked[:]
+        aln = walk_traceback(spec, FakeMemory({(2, 2): 300, (1, 1): 5}), (2, 2))
+        assert aln.cigar == "1M" and asked == [300]
+
+    @pytest.mark.parametrize("rule, flags", [
+        (EndRule.TOP_LEFT, (False, False)), (EndRule.SENTINEL, (True, True)),
+        (EndRule.TOP_ROW, (True, False)), (EndRule.TOP_ROW_OR_LEFT_COL, (True, True)),
+    ])
+    def test_stop_flags(self, rule, flags):
+        assert stop_flags(rule) == flags
 
 
 class TestBestCellTracker:
