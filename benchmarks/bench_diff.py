@@ -1,10 +1,11 @@
-"""Tolerance-band diff of committed bench artifacts vs a fresh run.
+"""Tolerance-band diff of two JSON bench artifacts.
 
-The committed ``BENCH_engine.json`` / ``BENCH_service.json`` are
-evidence, and evidence rots: a schema change or a perf regression can
-leave the repo carrying numbers the code no longer produces.  CI
-re-runs the bench and diffs the fresh artifact against the committed
-one with this tool:
+Nothing in CI calls this any more: the committed ``BENCH_*.json``
+artifacts it used to guard are retired and ``python3 -m bench``
+(``BENCHMARK.json``'s bounds, taken on parent and change) is the
+regression ledger.  The differ stays, with ``tests/test_bench_diff.py``,
+only because the tier-1 floor still names those tests; delete both
+together.  Its rules:
 
 * **structure is strict** — both documents must have exactly the same
   keys (recursively) and the same container shapes; a missing or extra

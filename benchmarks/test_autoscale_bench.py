@@ -1,52 +1,20 @@
 """Closed-loop autoscaling benchmark: SLO violation -> automatic recovery.
 
 Runs the full :func:`repro.autoscale.run_autoscale_demo` loop — paced
-replicas, step load profile, watch/plan/actuate controller — and writes
-the committed ``BENCH_autoscale.json`` artifact at the repo root.  CI
-regenerates the artifact and diffs it against the committed copy with
-``benchmarks/bench_diff.py`` (machine-dependent counters on the skip
-list), so the headline claim — *the single replica saturates, the
-controller scales up, the recovery-phase p99 returns under the SLO* —
-is re-proven on every run, not just asserted once.
+replicas, step load profile, watch/plan/actuate controller — so the
+headline claim — *the single replica saturates, the controller scales
+up, the recovery-phase p99 returns under the SLO* — is re-proven on
+every run, not just asserted once.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 from repro.autoscale import run_autoscale_demo
 
 from benchmarks.conftest import emit
 
-BENCH_AUTOSCALE_PATH = (
-    Path(__file__).resolve().parents[1] / "BENCH_autoscale.json"
-)
 
-#: Keys whose values are machine- or run-dependent (timing-driven
-#: counters and the replica trajectory).  ``bench_diff`` still enforces
-#: their presence; CI passes these via ``--skip``.
-VARIABLE_KEYS = (
-    "cpus",
-    "sent",
-    "ok",
-    "rejected",
-    "scale_up_decisions",
-    "scale_down_decisions",
-    "replicas_initial",
-    "replicas_final",
-)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def test_autoscale_demo_writes_bench_json():
+def test_autoscale_demo():
     report = run_autoscale_demo(
         kernels=(1,),
         rate_rps=5.0,
@@ -69,14 +37,6 @@ def test_autoscale_demo_writes_bench_json():
     assert report["recovered_p99_ms"] is not None
     assert report["recovered_p99_ms"] <= report["slo_target_ms"]
     assert report["violation_p99_ms"] > report["slo_target_ms"]
-
-    doc = {
-        "schema": "bench-autoscale/v1",
-        "cpus": _available_cpus(),
-        **{k: v for k, v in report.items() if k != "schema"},
-    }
-    BENCH_AUTOSCALE_PATH.write_text(json.dumps(doc, indent=2,
-                                               sort_keys=True) + "\n")
 
     lines = [
         "autoscale closed loop (step x8 at t=6s, slo "

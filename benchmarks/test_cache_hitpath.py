@@ -46,6 +46,7 @@ def test_memory_hit_path_10x_faster_than_engine(tmp_path):
             get_kernel(1),
             LaunchConfig(n_pe=16, n_b=4, n_k=1,
                          max_query_len=64, max_ref_len=64),
+            backend="systolic",  # the 10x bar is against the oracle engine
         ),
         stack,
     )

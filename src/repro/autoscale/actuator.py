@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.autoscale.planner import KernelPlan, Plan
+from repro.backend import DEFAULT_BACKEND
 from repro.host.runtime import DeviceRuntime
 from repro.kernels import get_kernel
 from repro.obs.recorder import get_recorder
@@ -37,7 +38,7 @@ RuntimeFactory = Callable[[int, int, int], DeviceRuntime]
 def default_runtime_factory(
     max_query_len: int = 64,
     max_ref_len: int = 64,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
     pace: Optional[float] = None,
     params_by_kernel: Optional[Dict[int, Any]] = None,
 ) -> RuntimeFactory:

@@ -31,6 +31,7 @@ from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.planner import Planner
 from repro.autoscale.policy import SloPolicy
 from repro.autoscale.signals import MetricsWatcher
+from repro.backend import DEFAULT_BACKEND
 from repro.kernels import get_kernel
 from repro.obs.recorder import use_recorder
 from repro.service.batcher import BatcherConfig
@@ -79,7 +80,7 @@ def run_autoscale_demo(
     pace: Optional[float] = None,
     max_batch: int = 4,
     length: int = 48,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
     dry_run: bool = False,
     seed: int = 7,
     keep_decisions: bool = True,

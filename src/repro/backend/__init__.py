@@ -13,9 +13,9 @@ traceback view, the engine's cycle report in closed form.
 (scores, start cells, tracebacks, cycle totals, collected matrices) on
 every registered kernel — the contract ``repro.verify_fuzz`` enforces as
 a four-way differential against the DP oracle.  Select a backend by
-name via :func:`get_backend`; the ``backend=`` knob on
-:class:`repro.host.runtime.DeviceRuntime`, :class:`repro.service.pool.DevicePool`
-and the ``repro serve``/``loadgen``/``campaign`` CLIs routes through it.
+name via :func:`get_backend`; every ``backend=`` parameter and
+``--backend`` flag in the package defaults to :data:`DEFAULT_BACKEND`
+and routes through it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ BACKENDS: Dict[str, Callable[..., Any]] = {
     "systolic": _systolic_align,
     "compiled": compiled_align,
 }
+
+#: What every ``backend=`` parameter and ``--backend`` flag runs unless told
+#: otherwise; :mod:`repro.verify`, whose subject is the oracle, names its own.
+DEFAULT_BACKEND = "compiled"
 
 #: Backend name -> whole-batch align callable (one call, B results),
 #: for backends that amortize dispatch across pairs.  Absence means the
@@ -71,6 +75,7 @@ __all__ = [
     "BACKENDS",
     "BATCH_BACKENDS",
     "CompiledKernel",
+    "DEFAULT_BACKEND",
     "UnsupportedSpecError",
     "compiled_align",
     "compiled_align_batch",

@@ -171,7 +171,7 @@ class _Emitter:
             raise UnsupportedSpecError(
                 f"table {node.source!r} indexed by a computed expression; "
                 f"the compiled backend only supports symbol or constant "
-                f"table indices"
+                f'table indices (backend="systolic" runs this spec)'
             )
         texts = [self.emit(arg) for arg in node.args]
         if self._shapes is None:

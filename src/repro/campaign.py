@@ -6,8 +6,8 @@ simulated workloads.  A campaign does the same in two tiers:
 * **broad tier** — every pair is scored by the independent textbook
   implementation (:mod:`repro.reference.dispatch`) and by the row-major
   oracle; scores must agree pair-by-pair;
-* **deep tier** — a sample of pairs additionally runs through the full
-  systolic engine (registers, banked memory, reduction, traceback) and is
+* **deep tier** — a sample of pairs additionally runs through an engine
+  backend (``backend="systolic"`` names the register-accurate one) and is
   checked with :func:`repro.verify.verify_kernel`.
 
 This keeps large campaigns tractable while every layer of the stack is
@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend import DEFAULT_BACKEND
 from repro.experiments.workloads import WORKLOADS
 from repro.kernels import get_kernel, kernel_ids
 from repro.parallel import ParallelExecutor
@@ -119,7 +120,7 @@ def run_campaign(
     seed: int = 0,
     atol: float = 1e-2,
     workers: int = 1,
-    backend: str = "systolic",
+    backend: str = DEFAULT_BACKEND,
 ) -> CampaignReport:
     """Run a two-tier verification campaign for one kernel.
 
@@ -182,7 +183,7 @@ def run_full_campaign(
     seed: int = 0,
     atol: float = 1e-2,
     workers: int = 1,
-    backend: str = "systolic",
+    backend: str = DEFAULT_BACKEND,
 ) -> FullCampaignReport:
     """Campaign every kernel, fanning kernel×pair items over one pool.
 

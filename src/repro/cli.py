@@ -28,12 +28,15 @@ items across a process pool (:mod:`repro.parallel`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import threading
 from typing import List, Optional
 
+from repro.backend import BACKENDS, DEFAULT_BACKEND
 from repro.core.alphabet import encode_dna, encode_protein
 from repro.kernels import get_kernel, list_kernels
+from repro.shard.deployment import Deployment
 from repro.synth import LaunchConfig, synthesize
 from repro.synth.rtlgen import generate_rtl_skeleton
 from repro.systolic import align
@@ -151,20 +154,15 @@ def cmd_campaign(args) -> int:
     """Run a bulk two-tier verification campaign (one kernel or ``all``)."""
     from repro.campaign import run_campaign, run_full_campaign
 
-    if args.kernel == "all":
-        full = run_full_campaign(
-            n_pairs=args.pairs, engine_sample=args.engine_sample,
-            max_length=args.length, seed=args.seed, workers=args.workers,
-            backend=args.backend,
-        )
-        print(full.summary())
-        return 0 if full.passed else 1
-    spec = _kernel_arg(args.kernel)
-    report = run_campaign(
-        spec.kernel_id, n_pairs=args.pairs, engine_sample=args.engine_sample,
+    options = dict(
+        n_pairs=args.pairs, engine_sample=args.engine_sample,
         max_length=args.length, seed=args.seed, workers=args.workers,
         backend=args.backend,
     )
+    if args.kernel == "all":
+        report = run_full_campaign(**options)
+    else:
+        report = run_campaign(_kernel_arg(args.kernel).kernel_id, **options)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -190,71 +188,67 @@ def cmd_fuzz(args) -> int:
     return 0 if report.passed else 1
 
 
-def _service_pool(kernels, n_pe: int, n_b: int, replicas: int, max_len: int,
-                  cache=None, backend: str = "systolic"):
-    """Build a :class:`DevicePool` serving the requested kernels."""
-    from repro.host import DeviceRuntime
-    from repro.service import DevicePool
-    from repro.synth import LaunchConfig
-
-    runtimes = []
-    for spec in kernels:
-        if spec.alphabet.is_struct:
-            raise SystemExit(
-                f"kernel {spec.name} consumes struct symbols and cannot be "
-                f"served over the JSON-line protocol"
-            )
-        for _ in range(replicas):
-            runtimes.append(DeviceRuntime(
-                spec,
-                LaunchConfig(
-                    n_pe=n_pe, n_b=n_b, n_k=1,
-                    max_query_len=max_len, max_ref_len=max_len,
-                ),
-                backend=backend,
-            ))
-    return DevicePool(runtimes, cache=cache)
-
-
-def _service_workload(kernels, pairs_per_kernel: int, length: int, seed: int):
-    """Random (kernel_id, query, reference) tuples for the load generator."""
+def _service_workload(kernels, args):
+    """Random (kernel_id, query, reference) tuples: ``--pairs`` per
+    kernel, ``--length`` symbols each, drawn from ``--seed``."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     workload = []
     for spec in kernels:
         cardinality = spec.alphabet.size or 64
-        for _ in range(pairs_per_kernel):
+        for _ in range(args.pairs):
             workload.append((
                 spec.kernel_id,
-                tuple(rng.randrange(cardinality) for _ in range(length)),
-                tuple(rng.randrange(cardinality) for _ in range(length)),
+                tuple(rng.randrange(cardinality) for _ in range(args.length)),
+                tuple(rng.randrange(cardinality) for _ in range(args.length)),
             ))
     rng.shuffle(workload)
     return workload
 
 
-def _deployment_from_args(args):
-    """Build the :class:`~repro.shard.Deployment` a serve-shaped
-    argparse namespace describes (shared by serve and in-proc loadgen)."""
-    from repro.shard import Deployment
+def _serve_in_proc(core, workload):
+    """Push ``workload`` through ``core`` in-process, then stop it;
+    returns the responses in submission order."""
+    from repro.service import InProcClient
 
-    kernel_ids = tuple(
-        _kernel_arg(k).kernel_id for k in (args.kernel or ["1"])
-    )
+    client = InProcClient(core.start())
+    try:
+        slots = [
+            client.submit(kernel_id, query, reference)
+            for kernel_id, query, reference in workload
+        ]
+        return [slot.result(timeout=120.0) for slot in slots]
+    finally:
+        core.stop()
+
+
+def _exit_code(responses) -> int:
+    """0 when every response resolved OK; otherwise say how many did not."""
+    from repro.service import Status
+
+    failures = sum(r.status is not Status.OK for r in responses)
+    if failures:
+        print(f"error: {failures} request(s) did not resolve OK")
+    return 1 if failures else 0
+
+
+def _deployment_from_args(args) -> Deployment:
+    """Build the :class:`~repro.shard.Deployment` an argparse namespace
+    describes: every field the subcommand's parser declared (see
+    :func:`_add_deployment_args`), the dataclass's own default for the
+    rest.  Every in-process service the CLI runs is built from it."""
+    declared = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Deployment)
+        if f.name != "kernel_ids" and hasattr(args, f.name)
+    }
     try:
         deployment = Deployment(
-            kernel_ids=kernel_ids,
-            replicas=args.replicas,
-            n_pe=args.n_pe,
-            n_b=args.n_b,
-            max_len=args.max_len,
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            queue_bound=args.queue_bound,
-            backend=args.backend,
-            cache_dir=getattr(args, "cache_dir", None),
-            cache_mem_mb=getattr(args, "cache_mem_mb", 64.0),
+            kernel_ids=tuple(
+                _kernel_arg(k).kernel_id for k in (args.kernel or ["1"])
+            ),
+            **declared,
         )
         deployment.specs()  # fail fast on unservable kernels
     except ValueError as exc:
@@ -360,23 +354,12 @@ def _validate_loadgen_sources(args) -> None:
     """
     if args.trace is None:
         return
-    conflicts = []
-    if args.rate:
-        conflicts.append("--rate")
-    if args.requests is not None:
-        conflicts.append("--requests")
-    if args.pairs is not None:
-        conflicts.append("--pairs")
-    if args.length is not None:
-        conflicts.append("--length")
-    if args.kernel:
-        conflicts.append("--kernel")
-    if args.concurrency is not None:
-        conflicts.append("--concurrency")
-    if args.profile is not None:
-        conflicts.append("--profile")
-    if args.duration is not None:
-        conflicts.append("--duration")
+    conflicts = [
+        f"--{name}"
+        for name in ("rate", "requests", "pairs", "length", "kernel",
+                     "concurrency", "profile", "duration")
+        if getattr(args, name) not in (None, [])
+    ]
     if conflicts:
         raise SystemExit(
             f"--trace replays a recorded workload and cannot be combined "
@@ -420,9 +403,7 @@ def cmd_loadgen(args) -> int:
         args.pairs = 16 if args.pairs is None else args.pairs
         args.length = 24 if args.length is None else args.length
         kernels = [_kernel_arg(k) for k in (args.kernel or ["1"])]
-        workload = _service_workload(
-            kernels, args.pairs, args.length, args.seed
-        )
+        workload = _service_workload(kernels, args)
     args.concurrency = 1 if args.concurrency is None else args.concurrency
     core = None
     if args.in_proc:
@@ -636,33 +617,14 @@ def cmd_trace(args) -> int:
     """
     from repro.obs import TraceRecorder, use_recorder, write_chrome_trace
     from repro.obs.export import render_text_snapshot
-    from repro.service import BatcherConfig, InProcClient, ServiceCore, Status
 
-    kernels = [_kernel_arg(k) for k in (args.kernel or ["1"])]
+    deployment = _deployment_from_args(args)
     recorder = TraceRecorder()
-    failures = 0
     with use_recorder(recorder):
-        pool = _service_pool(
-            kernels, args.n_pe, args.n_b, args.replicas, args.max_len
+        core = deployment.build_core(recorder=recorder)
+        responses = _serve_in_proc(
+            core, _service_workload(deployment.specs(), args)
         )
-        core = ServiceCore(pool, BatcherConfig(
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-        ), recorder=recorder).start()
-        client = InProcClient(core)
-        workload = _service_workload(
-            kernels, args.pairs, args.length, args.seed
-        )
-        try:
-            slots = [
-                client.submit(kernel_id, query, reference)
-                for kernel_id, query, reference in workload
-            ]
-            for slot in slots:
-                if slot.result(timeout=120.0).status is not Status.OK:
-                    failures += 1
-        finally:
-            core.stop()
     write_chrome_trace(recorder, args.out)
     categories = sorted({
         event.category for event in recorder.events() if event.kind == "span"
@@ -671,18 +633,13 @@ def cmd_trace(args) -> int:
     print(f"trace: {len(recorder.events())} events "
           f"(spans in {', '.join(categories)}; "
           f"{recorder.dropped_events} dropped) -> {args.out}")
-    if failures:
-        print(f"error: {failures} request(s) did not resolve OK")
-        return 1
-    return 0
+    return _exit_code(responses)
 
 
 def cmd_cache(args) -> int:
     """Inspect, warm or clear a persistent alignment cache directory."""
     import hashlib
     import json as json_module
-
-    from repro.cache import CacheConfig, CacheStack
 
     if args.cache_command == "stats":
         from repro.cache import DiskStore
@@ -712,35 +669,15 @@ def cmd_cache(args) -> int:
     # the same command twice (even across process restarts) must produce
     # a byte-identical response digest with a nonzero hit count on the
     # second pass — the smoke-cache CI job pins exactly that.
-    from repro.service import BatcherConfig, InProcClient, ServiceCore, Status
-
-    kernels = [_kernel_arg(k) for k in (args.kernel or ["1"])]
-    stack = CacheStack(CacheConfig(
-        directory=args.dir,
-        memory_bytes=int(args.cache_mem_mb * 1024 * 1024),
-    ))
-    pool = _service_pool(
-        kernels, args.n_pe, args.n_b, args.replicas, args.max_len,
-        cache=stack,
-    )
-    core = ServiceCore(pool, BatcherConfig(max_batch=args.max_batch)).start()
-    client = InProcClient(core)
-    workload = _service_workload(kernels, args.pairs, args.length, args.seed)
-    failures = 0
-    lines = []
+    deployment = _deployment_from_args(args)  # --dir is its cache_dir
+    stack = deployment.build_cache()
+    core = deployment.build_core(cache=stack)
+    workload = _service_workload(deployment.specs(), args)
     try:
-        slots = [
-            client.submit(kernel_id, query, reference)
-            for kernel_id, query, reference in workload
-        ]
-        for slot in slots:
-            response = slot.result(timeout=120.0)
-            if response.status is not Status.OK:
-                failures += 1
-            lines.append(response.to_line(with_latency=False))
+        responses = _serve_in_proc(core, workload)
     finally:
-        core.stop()
         stack.close()
+    lines = [r.to_line(with_latency=False) for r in responses]
     digest = hashlib.sha256(b"".join(sorted(lines))).hexdigest()
     snapshot = core.metrics_snapshot()
     counters = snapshot.get("counters", {})
@@ -750,10 +687,7 @@ def cmd_cache(args) -> int:
           f"({hits} cache hits, {misses} misses)")
     print(f"response digest: {digest}")
     print(json_module.dumps(snapshot.get("cache"), indent=2, sort_keys=True))
-    if failures:
-        print(f"error: {failures} request(s) did not resolve OK")
-        return 1
-    return 0
+    return _exit_code(responses)
 
 
 def cmd_occupancy(args) -> int:
@@ -822,6 +756,24 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _add_backend_arg(p, help_text: Optional[str] = None) -> None:
+    """The one ``--backend`` declaration every subcommand that has it calls."""
+    p.add_argument("--backend", choices=tuple(BACKENDS),
+                   default=DEFAULT_BACKEND, help=help_text)
+
+
+def _add_deployment_args(p, **helps: Optional[str]) -> None:
+    """Declare ``--flag`` for each named :class:`Deployment` field
+    (``field=help text``), type and default read from the dataclass —
+    :func:`_deployment_from_args` picks up whatever was declared."""
+    fields = {f.name: f for f in dataclasses.fields(Deployment)}
+    for name, help_text in helps.items():
+        default = fields[name].default
+        p.add_argument("--" + name.replace("_", "-"), default=default,
+                       type=str if default is None else type(default),
+                       help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -866,9 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool width for the broad tier")
-    p.add_argument("--backend", choices=("systolic", "compiled"),
-                   default="systolic",
-                   help="engine the deep-tier sample runs through")
+    _add_backend_arg(p, "engine the deep-tier sample runs through")
 
     p = sub.add_parser(
         "fuzz",
@@ -890,24 +840,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7878)
     p.add_argument("--kernel", action="append", default=[],
                    help="kernel number/name to deploy (repeatable; default 1)")
-    p.add_argument("--replicas", type=int, default=1,
-                   help="runtimes per deployed kernel")
-    p.add_argument("--n-pe", type=int, default=16)
-    p.add_argument("--n-b", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="size-triggered flush threshold (per kernel)")
-    p.add_argument("--max-delay-ms", type=float, default=20.0,
-                   help="deadline-triggered flush linger bound")
-    p.add_argument("--queue-bound", type=int, default=256,
-                   help="per-kernel admission bound (backpressure)")
-    p.add_argument("--cache-dir", default=None,
-                   help="enable the content-addressed cache, persisted here")
-    p.add_argument("--cache-mem-mb", type=float, default=64.0,
-                   help="in-memory cache tier budget (MiB)")
-    p.add_argument("--backend", choices=("systolic", "compiled"),
-                   default="systolic",
-                   help="alignment engine backing every runtime")
+    _add_deployment_args(
+        p,
+        replicas="runtimes per deployed kernel",
+        n_pe=None, n_b=None, max_len=None,
+        max_batch="size-triggered flush threshold (per kernel)",
+        max_delay_ms="deadline-triggered flush linger bound",
+        queue_bound="per-kernel admission bound (backpressure)",
+        cache_dir="enable the content-addressed cache, persisted here",
+        cache_mem_mb="in-memory cache tier budget (MiB)",
+    )
+    _add_backend_arg(p, "alignment engine backing every runtime")
     p.add_argument("--shards", type=int, default=1,
                    help="worker shard processes behind an asyncio front "
                         "door routing on cache fingerprints (1 = serve "
@@ -942,19 +885,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sequence length of synthetic pairs (default 24)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deadline-ms", type=float, default=None)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--n-pe", type=int, default=16)
-    p.add_argument("--n-b", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--max-batch", type=int, default=8)
-    p.add_argument("--max-delay-ms", type=float, default=20.0)
-    p.add_argument("--queue-bound", type=int, default=256)
-    p.add_argument("--cache-dir", default=None,
-                   help="enable the content-addressed cache (in-proc only)")
-    p.add_argument("--cache-mem-mb", type=float, default=64.0)
-    p.add_argument("--backend", choices=("systolic", "compiled"),
-                   default="systolic",
-                   help="alignment engine backing the in-proc service")
+    _add_deployment_args(
+        p, replicas=None, n_pe=None, n_b=None, max_len=None, max_batch=None,
+        max_delay_ms=None, queue_bound=None,
+        cache_dir="enable the content-addressed cache (in-proc only)",
+        cache_mem_mb=None,
+    )
+    _add_backend_arg(p, "alignment engine backing the in-proc service")
     p.add_argument("--concurrency", type=int, default=None,
                    help="parallel open-loop firing threads splitting the "
                         "offered rate (default 1)")
@@ -1001,8 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calibrated full-batch capacity of one replica")
     p.add_argument("--length", type=int, default=48,
                    help="sequence length of the synthetic workload")
-    p.add_argument("--backend", choices=("systolic", "compiled"),
-                   default="compiled")
+    _add_backend_arg(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--dry-run", action="store_true",
                    help="rehearse the control loop without touching "
@@ -1040,9 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-identity", type=float, default=0.55,
                    help="accept floor on base-level identity")
     p.add_argument("--n-pe", type=int, default=32)
-    p.add_argument("--backend", choices=("systolic", "compiled"),
-                   default="compiled",
-                   help="engine for in-process tile execution")
+    _add_backend_arg(p, "engine for in-process tile execution")
     p.add_argument("--cache-dir", default=None,
                    help="content-addressed tile cache (in-process only)")
     p.add_argument("--cache-mem-mb", type=float, default=64.0)
@@ -1071,19 +1005,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a deterministic workload through the cache "
              "(run twice to measure the warm pass)",
     )
-    cp.add_argument("--dir", required=True, help="cache directory")
+    cp.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR",
+                    help="cache directory")
     cp.add_argument("--kernel", action="append", default=[],
                     help="kernel number/name (repeatable; default 1)")
     cp.add_argument("--pairs", type=int, default=16,
                     help="distinct random pairs per kernel")
     cp.add_argument("--length", type=int, default=24)
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--replicas", type=int, default=1)
-    cp.add_argument("--n-pe", type=int, default=16)
-    cp.add_argument("--n-b", type=int, default=4)
-    cp.add_argument("--max-len", type=int, default=256)
-    cp.add_argument("--max-batch", type=int, default=8)
-    cp.add_argument("--cache-mem-mb", type=float, default=64.0)
+    _add_deployment_args(cp, replicas=None, n_pe=None, n_b=None,
+                         max_len=None, max_batch=None, cache_mem_mb=None)
 
     p = sub.add_parser(
         "trace",
@@ -1097,12 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random pairs per kernel pushed through the service")
     p.add_argument("--length", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--n-pe", type=int, default=16)
-    p.add_argument("--n-b", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--max-batch", type=int, default=8)
-    p.add_argument("--max-delay-ms", type=float, default=20.0)
+    _add_deployment_args(p, replicas=None, n_pe=None, n_b=None,
+                         max_len=None, max_batch=None, max_delay_ms=None)
 
     p = sub.add_parser("occupancy", help="render the PE activity Gantt")
     p.add_argument("kernel")

@@ -14,17 +14,16 @@ batch-level throughput and utilization.
   fan-out — while the performance model still accounts for the
   *device's* concurrency, and a failing pair becomes a structured error
   record instead of aborting the batch;
-* ``timeout`` bounds each pair's wall-clock seconds;
-* ``backend`` overrides the runtime's constructed backend for one call
-  (backends are bit-identical, so this only moves wall-clock).
+* ``timeout`` bounds each pair's wall-clock seconds.
 
-There is one wavefront driver and ``run`` reaches it one way: when the
-backend has a whole-batch callable (``backend="compiled"``) the serial
-path hands the entire batch to one
-:func:`repro.backend.compiled_align_batch` sweep; ``workers > 1``,
-``timeout``, or a sweep that raises run per pair instead — for the
-compiled backend the same driver on batches of one — which is what
-turns a failing pair into a :class:`WorkError` record.
+A runtime's backend is decided once, at construction
+(:data:`repro.backend.DEFAULT_BACKEND` unless named).  There is one
+wavefront driver and ``run`` reaches it one way: when the backend has a
+whole-batch callable (``backend="compiled"``) the serial path hands the
+entire batch to one :func:`repro.backend.compiled_align_batch` sweep;
+``workers > 1``, ``timeout``, or a sweep that raises run per pair
+instead — for the compiled backend the same driver on batches of one —
+which is what turns a failing pair into a :class:`WorkError` record.
 
 Execution reports through the current :mod:`repro.obs` recorder: a
 ``host.run`` span brackets the batch, with child ``host.execute``
@@ -39,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.backend import DEFAULT_BACKEND, get_backend, get_batch_backend, prewarm
 from repro.core.result import AlignmentResult
 from repro.core.spec import KernelSpec
 from repro.host.scheduler import AlignmentBatch, HostScheduler, ScheduleResult
@@ -57,16 +57,10 @@ class RunOptions:
     path requires the runtime's spec to be the registered kernel
     (worker processes re-resolve it by id).  ``timeout`` bounds each
     pair's wall-clock seconds.
-
-    ``backend=None`` uses the backend the runtime was constructed with;
-    naming one (``"systolic"`` / ``"compiled"``) overrides it for this
-    call only — results are bit-identical either way, so the override
-    moves wall-clock, never answers.
     """
 
     workers: Optional[int] = None
     timeout: Optional[float] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -87,7 +81,6 @@ def _align_pair_task(payload: Tuple, _seed: int) -> AlignmentResult:
     :class:`~repro.core.spec.KernelSpec` closures do not pickle; the
     backend travels by name for the same reason.
     """
-    from repro.backend import get_backend
     from repro.kernels import get_kernel
 
     kernel_id, backend, params, n_pe, ii, max_q, max_r, query, reference = payload
@@ -130,11 +123,9 @@ class DeviceRuntime:
         spec: KernelSpec,
         config: Optional[LaunchConfig] = None,
         params: Any = None,
-        backend: str = "systolic",
+        backend: str = DEFAULT_BACKEND,
         pace: Optional[float] = None,
     ) -> None:
-        from repro.backend import get_backend, get_batch_backend
-
         if pace is not None and pace <= 0:
             raise ValueError(f"pace must be positive, got {pace}")
         self.spec = spec
@@ -156,8 +147,6 @@ class DeviceRuntime:
             # compiler cache) so the first request never pays for it;
             # specs outside the compiled surface keep failing lazily at
             # align time, exactly as before.
-            from repro.backend import prewarm
-
             prewarm(spec, self.params)
         self.report: SynthesisReport = synthesize(spec, self.config)
         if not self.report.feasible:
@@ -169,14 +158,6 @@ class DeviceRuntime:
         self._scheduler = HostScheduler(self.config.n_k, self.config.n_b)
 
     # -- the batch entry point ----------------------------------------
-
-    def _backend_fns(self, backend: Optional[str]):
-        """(name, align_fn, batch_fn) of the effective backend."""
-        if backend is None or backend == self.backend:
-            return self.backend, self._align_fn, self._batch_fn
-        from repro.backend import get_backend, get_batch_backend
-
-        return backend, get_backend(backend), get_batch_backend(backend)
 
     def run(
         self,
@@ -198,11 +179,10 @@ class DeviceRuntime:
                 f"options must be a RunOptions, got {type(opts).__name__}"
             )
         started = time.monotonic()
-        backend, align_fn, batch_fn = self._backend_fns(opts.backend)
         n_workers = opts.n_workers
         # whole batch first; per-pair only where isolation needs it
         use_batch = (
-            batch_fn is not None and n_workers == 1 and opts.timeout is None
+            self._batch_fn is not None and n_workers == 1 and opts.timeout is None
         )
         recorder = get_recorder()
         pairs = list(pairs)
@@ -215,7 +195,7 @@ class DeviceRuntime:
             with recorder.span("host.execute", pairs=len(pairs)):
                 if use_batch:
                     try:
-                        results = list(batch_fn(
+                        results = list(self._batch_fn(
                             self.spec, pairs, params=self.params,
                             n_pe=self.config.n_pe, ii=self.report.ii,
                             max_query_len=self.config.max_query_len,
@@ -234,7 +214,7 @@ class DeviceRuntime:
                     )
                     if n_workers == 1:
                         def task(pair, _seed):
-                            return self._align_pair(*pair, align_fn=align_fn)
+                            return self._align_pair(*pair)
 
                         batch_result = executor.map(task, pairs)
                     else:
@@ -250,7 +230,7 @@ class DeviceRuntime:
                             )
                         payloads = [
                             (
-                                self.spec.kernel_id, backend,
+                                self.spec.kernel_id, self.backend,
                                 self.params,
                                 self.config.n_pe, self.report.ii,
                                 self.config.max_query_len,
@@ -294,11 +274,9 @@ class DeviceRuntime:
         self,
         query: Sequence[Any],
         reference: Sequence[Any],
-        align_fn: Any = None,
     ) -> AlignmentResult:
         """One pair on one block (the serial-path work item)."""
-        fn = align_fn if align_fn is not None else self._align_fn
-        return fn(
+        return self._align_fn(
             self.spec, query, reference, params=self.params,
             n_pe=self.config.n_pe, ii=self.report.ii,
             max_query_len=self.config.max_query_len,

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.api.stage import Pipeline, PipelineReport
+from repro.backend import DEFAULT_BACKEND
 from repro.data.fastq import iter_fastq_chunks
 from repro.data.sam import SamWriter
 from repro.pipeline.dispatch import (
@@ -65,7 +66,7 @@ class MapReport:
         return self.tile_cache_hits / self.tiles if self.tiles else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (the ``BENCH_pipeline.json`` payload core)."""
+        """JSON-ready form (what ``repro map`` prints)."""
         return {
             "reads": self.reads,
             "mapped": self.mapped,
@@ -87,7 +88,7 @@ class MapReport:
 def build_tile_runtime(
     tile_size: int = 128,
     n_pe: int = 32,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
     cache: Any = None,
 ) -> Any:
     """A runtime sized for GACT tiles (optionally cache-fronted).
@@ -129,7 +130,7 @@ def map_flowcell(
     overlap: int = 32,
     min_identity: float = 0.55,
     n_pe: int = 32,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
     cache: Any = None,
     dispatcher: Optional[TileDispatcher] = None,
     trace_path: Optional[PathLike] = None,

@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.backend import DEFAULT_BACKEND
 from repro.host.runtime import BatchOutcome, DeviceRuntime, RunOptions
 from repro.obs.recorder import get_recorder
 from repro.synth.compiler import LaunchConfig
@@ -139,7 +140,7 @@ class DevicePool:
         workers: int = 1,
         params_by_kernel: Optional[Dict[int, Any]] = None,
         cache: Optional[Any] = None,
-        backend: str = "systolic",
+        backend: str = DEFAULT_BACKEND,
     ) -> "DevicePool":
         """Deploy every channel of a linked design as one pool member.
 
@@ -148,9 +149,9 @@ class DevicePool:
         design's K channels) at the design's linked clock target.
         ``cache`` (a :class:`~repro.cache.CacheStack`) is shared across
         every channel, exactly as in the main constructor.  ``backend``
-        selects the alignment implementation every channel runs
-        (``"systolic"`` cycle simulator or the bit-identical
-        ``"compiled"`` NumPy backend — see ``docs/backends.md``).
+        selects the alignment implementation every channel runs (the
+        ``"compiled"`` default or the bit-identical ``"systolic"`` cycle
+        simulator — see ``docs/backends.md``).
         """
         params_by_kernel = params_by_kernel or {}
         runtimes = [

@@ -58,6 +58,15 @@ def encode_line(payload: Dict[str, Any]) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+#: The longest request line either server reads (asyncio's default, named).
+MAX_LINE_BYTES = 2 ** 16
+#: What they answer a longer one with before hanging up.
+OVERSIZE_LINE_RESPONSE = encode_line({
+    "type": "result", "id": None, "status": "error",
+    "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+})
+
+
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a message dict."""
     try:

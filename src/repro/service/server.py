@@ -35,6 +35,8 @@ from repro.obs.recorder import MetricsRecorder, Recorder
 from repro.service.batcher import BatcherConfig, DynamicBatcher, PendingEntry
 from repro.service.pool import DevicePool, PoolRejection
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    OVERSIZE_LINE_RESPONSE,
     AlignRequest,
     AlignResponse,
     ProtocolError,
@@ -387,10 +389,14 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
             except (OSError, ValueError):
                 pass  # connection gone; the metrics still counted the work
 
-        for raw in self.rfile:
+        for raw in iter(lambda: self.rfile.readline(MAX_LINE_BYTES + 1), b""):
+            if len(raw) > MAX_LINE_BYTES:  # hostile or broken: answer, hang up
+                send(OVERSIZE_LINE_RESPONSE)
+                break
             line = raw.strip()
             if not line:
                 continue
+            message = None
             try:
                 message = decode_line(line)
                 kind = message.get("type")

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.backend import DEFAULT_BACKEND
+
 #: Subdirectory pattern of one shard's disk journal under the cache root.
 SHARD_CACHE_SUBDIR = "shard-{name}"
 
@@ -44,7 +46,7 @@ class Deployment:
     max_batch: int = 8
     max_delay_ms: float = 20.0
     queue_bound: int = 256
-    backend: str = "systolic"
+    backend: str = DEFAULT_BACKEND
     cache_dir: Optional[str] = None
     cache_mem_mb: float = 64.0
     pool_workers: int = 1

@@ -49,6 +49,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.export import render_text_snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    OVERSIZE_LINE_RESPONSE,
     AlignRequest,
     ProtocolError,
     decode_line,
@@ -60,10 +62,6 @@ from repro.shard.deployment import Deployment
 from repro.shard.manager import ShardHandle, ShardManager
 from repro.shard.ring import DEFAULT_VNODES, HashRing
 from repro.shard.router import FingerprintRouter
-
-
-#: The longest request line a client may send (asyncio's own default, named).
-MAX_LINE_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -369,10 +367,7 @@ class FrontDoor:
                 try:
                     raw = await reader.readline()
                 except ValueError:  # a line over the stream limit: answer, hang up
-                    await client.send(encode_line({
-                        "type": "result", "id": None, "status": "error",
-                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    }))
+                    await client.send(OVERSIZE_LINE_RESPONSE)
                     break
                 if not raw:
                     break

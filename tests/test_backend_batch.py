@@ -32,7 +32,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.backend as backend_pkg
 from repro.backend import (
     BATCH_BACKENDS,
     compiled_align,
@@ -576,7 +575,7 @@ class TestPrewarm:
     def test_runtime_construction_prewarms_compiled(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            backend_pkg, "prewarm",
+            "repro.host.runtime.prewarm",
             lambda spec, params=None: calls.append(spec.kernel_id) or True,
         )
         config = LaunchConfig(n_pe=4, max_query_len=32, max_ref_len=32)

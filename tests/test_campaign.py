@@ -4,12 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import compiled_align
 from repro.campaign import run_campaign
-from repro.kernels import KERNELS
+from repro.kernels import KERNELS, get_kernel
 from repro.reference.classic import nw_linear, sw_linear
 from repro.reference.dispatch import classic_score
-from repro.reference.vectorized import nw_linear_score, sw_linear_score
 from tests.conftest import mutated_copy, random_dna
+
+
+def nw_linear_score(query, reference):
+    """Kernel #1 on the compiled backend: the repo's vectorised NW scorer."""
+    return compiled_align(get_kernel(1), query, reference).score
+
+
+def sw_linear_score(query, reference):
+    """Kernel #3 on the compiled backend: the vectorised SW scorer."""
+    return compiled_align(get_kernel(3), query, reference).score
 
 
 class TestDispatch:

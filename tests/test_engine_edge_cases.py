@@ -75,7 +75,9 @@ class TestNarrowBand:
 def _runtime(**overrides):
     base = dict(n_pe=8, n_b=2, n_k=2, max_query_len=64, max_ref_len=64)
     base.update(overrides)
-    return DeviceRuntime(get_kernel(1), LaunchConfig(**base))
+    return DeviceRuntime(
+        get_kernel(1), LaunchConfig(**base), backend="systolic"
+    )
 
 
 def _pairs(n, length=24):

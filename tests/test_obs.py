@@ -272,9 +272,10 @@ class TestInstrumentedStack:
         from repro.synth import LaunchConfig
 
         recorder = TraceRecorder()
+        # the per-pair path (systolic here) is the one with a parallel span
         runtime = DeviceRuntime(get_kernel(1), LaunchConfig(
             n_pe=8, n_b=2, n_k=1, max_query_len=64, max_ref_len=64,
-        ))
+        ), backend="systolic")
         with use_recorder(recorder):
             outcome = runtime.run([((0, 1, 2, 3), (0, 1, 2, 3))])
         assert not outcome.errors

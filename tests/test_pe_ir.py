@@ -187,8 +187,9 @@ class TestComputedTableIndex:
         assert align(self.spec, (0, 1, 2), (0, 1, 2)).score == 1
 
     def test_lower_still_rejects_it(self):
-        with pytest.raises(UnsupportedSpecError, match="computed expression"):
+        with pytest.raises(UnsupportedSpecError, match="computed expression") as err:
             lower(self.spec)
+        assert 'backend="systolic"' in str(err.value)  # names the way out
         assert prewarm(self.spec) is False
 
 

@@ -113,10 +113,12 @@ class TestRunOptions:
             RunOptions(timeout=-1.0)
 
     def test_per_call_backend_override_is_bit_identical(self):
-        runtime = DeviceRuntime(get_kernel(1), small_config())
+        # the backend is decided once, at construction: one runtime each
         batch = pairs(3)
-        systolic = runtime.run(batch)
-        compiled = runtime.run(batch, options=RunOptions(backend="compiled"))
+        systolic, compiled = (
+            DeviceRuntime(get_kernel(1), small_config(), backend=name).run(batch)
+            for name in ("systolic", "compiled")
+        )
         assert [r.score for r in systolic.results] == [
             r.score for r in compiled.results
         ]

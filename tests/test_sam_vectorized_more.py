@@ -1,6 +1,7 @@
-"""Tests for SAM output, the affine vectorized scorer, variant sweeps and
-tiling properties."""
+"""Tests for SAM output, the compiled backend as the affine and banded
+vectorized scorer, variant sweeps and tiling properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +18,23 @@ from repro.data.sam import (
     sam_record,
     write_sam,
 )
-from repro.reference.classic import banded_nw_linear, gotoh_global
-from repro.reference.vectorized import (
-    NEG,
-    _repin_floor,
-    banded_nw_linear_score,
-    gotoh_global_score,
-)
+from repro.backend import compiled_align
+from repro.kernels import get_kernel
+from repro.kernels.variants import make_banded
+from repro.reference.classic import NEG, banded_nw_linear, gotoh_global
 from tests.conftest import mutated_copy, random_dna
+
+
+def gotoh_global_score(query, reference):
+    """Kernel #2 on the compiled backend: the vectorised affine scorer."""
+    return compiled_align(get_kernel(2), query, reference).score
+
+
+def banded_nw_linear_score(query, reference, band):
+    """Banded kernel #1 on the compiled backend."""
+    return compiled_align(
+        make_banded(get_kernel(1), band), query, reference
+    ).score
 
 
 class TestSam:
@@ -90,19 +100,24 @@ class TestVectorizedAffine:
 
 
 class TestSentinelHygiene:
-    """Regression: NEG-sentinel values must never leak into real scores.
+    """Regression: sentinel values must never leak into real scores.
 
-    Unreachable cells hold ``NEG = -1e15``; arithmetic drags the sentinel
-    off its floor (``NEG + gap``), and on short bands those drifted values
-    used to survive the max-reduction and surface as near-floor "scores".
+    Out-of-band cells hold ``spec.sentinel()``; arithmetic drags a
+    sentinel off its floor (``sentinel + gap``), and on short bands such
+    drifted values could survive the max-reduction and surface as
+    near-floor "scores" — so the driver re-pins every out-of-band cell.
     """
 
     def test_repin_floor_pins_drifted_sentinels(self):
-        import numpy as np
-
-        drifted = np.array([NEG + 3.0, NEG - 3.0, NEG * 0.6, -5.0, 7.0])
-        pinned = _repin_floor(drifted)
-        assert list(pinned) == [NEG, NEG, NEG, -5.0, 7.0]
+        spec = make_banded(get_kernel(1), 1)
+        matrix = compiled_align(
+            spec, (0, 1, 2, 3), (0, 2, 2, 3), collect_matrix=True
+        ).matrix[0]
+        i, j = np.indices(matrix.shape)
+        outside = (abs(i - j) > 1) & (i > 0) & (j > 0)
+        assert outside.any()
+        assert (matrix[outside] == spec.sentinel()).all()  # exactly, no drift
+        assert (matrix[~outside] > spec.sentinel() / 2).all()
 
     def test_minimal_banded_case(self):
         """The minimal leak case: band=1 forces band-edge cells whose
@@ -116,7 +131,12 @@ class TestSentinelHygiene:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_classic_banded(self, band, seed):
         r = random_dna(12 + 3 * seed, seed + 7)
-        q = r if band == 0 else mutated_copy(r, seed + 70)[: len(r)]
+        if band == 0:  # outside the engine's contract: refused, not mis-scored
+            with pytest.raises(ValueError, match="band must be >= 1"):
+                make_banded(get_kernel(1), band)
+            assert banded_nw_linear(r, r, band=0) == 2.0 * len(r)
+            return
+        q = mutated_copy(r, seed + 70)[: len(r)]
         got = banded_nw_linear_score(q, r, band=band)
         assert got == banded_nw_linear(q, r, band=band)
         assert got > NEG / 2
@@ -142,10 +162,13 @@ class TestSentinelHygiene:
             banded_nw_linear_score((0, 1, 2), (0,), band=1)
 
     def test_empty_and_singletons(self):
-        assert banded_nw_linear_score((), (), band=0) == 0.0
-        assert banded_nw_linear_score((1,), (), band=1) == -3.0
-        assert banded_nw_linear_score((), (2,), band=1) == -3.0
-        assert banded_nw_linear_score((1,), (1,), band=0) == 2.0
+        """The engine refuses empty sequences (the textbook DP scores them
+        as pure gaps); a 1x1 matrix is the smallest it aligns."""
+        for q, r in (((), ()), ((1,), ()), ((), (2,))):
+            with pytest.raises(ValueError, match="non-empty"):
+                banded_nw_linear_score(q, r, band=1)
+        assert banded_nw_linear((1,), (), band=1) == -3.0
+        assert banded_nw_linear_score((1,), (1,), band=1) == 2.0
 
 
 class TestScoreOnlySweep:

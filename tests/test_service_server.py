@@ -7,6 +7,8 @@ deadline-triggered flushes are observable in the metrics, and past the
 admission bound requests are *rejected* (answered), never dropped.
 """
 
+import json
+import socket
 import threading
 
 import pytest
@@ -22,7 +24,7 @@ from repro.service import (
     ServiceCore,
     Status,
 )
-from repro.service.protocol import response_from_result
+from repro.service.protocol import MAX_LINE_BYTES, response_from_result
 from tests.conftest import mutated_copy, random_dna
 
 KERNEL_IDS = (1, 3)
@@ -156,6 +158,58 @@ class TestEndToEndTCP:
             closer.start()
             closer.join(timeout=30.0)
         assert not closer.is_alive()
+
+
+class TestHostileWire:
+    """Malformed and oversize lines, over a real socket."""
+
+    @pytest.fixture
+    def address(self, served_core):
+        server = AlignmentServer(("127.0.0.1", 0), served_core)
+        server.serve_in_thread()
+        yield server.server_address
+        server.shutdown()
+        server.server_close()
+
+    @staticmethod
+    def _exchange(wire, line):
+        wire.write(line)
+        wire.flush()
+        return json.loads(wire.readline())
+
+    @pytest.mark.parametrize(
+        "lead", (b"", b'{"type":"ping","id":"p1"}\n'), ids=("first", "later")
+    )
+    def test_malformed_line_is_answered_with_a_null_id(self, address, lead):
+        # `message` used to be unbound on a malformed first line (handler
+        # thread died, no answer) and stale on a later one (the error
+        # carried the previous, successful request's id)
+        with socket.create_connection(address, timeout=30) as sock:
+            wire = sock.makefile("rwb")
+            if lead:
+                assert self._exchange(wire, lead) == {"type": "pong", "id": "p1"}
+            answer = self._exchange(wire, b"this is not json\n")
+            assert answer["status"] == "error" and answer["id"] is None
+            pong = self._exchange(wire, b'{"type":"ping","id":"p2"}\n')
+            assert pong == {"type": "pong", "id": "p2"}  # still usable
+
+    def test_oversize_line_gets_an_error_and_the_server_keeps_serving(
+        self, address
+    ):
+        with socket.create_connection(address, timeout=30) as hostile:
+            hostile.sendall(b"x" * (70 * 1024) + b"\n")
+            wire = hostile.makefile("rb")
+            answer = json.loads(wire.readline())
+            assert wire.readline() == b""  # one answer, then hung up
+        assert answer["status"] == "error" and answer["id"] is None
+        assert str(MAX_LINE_BYTES) in answer["error"]
+        second = AlignmentClient(*address, read_timeout=60.0)
+        try:
+            assert second.ping()
+            _kid, query, reference = make_workload(1)[0]
+            assert second.align(1, query, reference).status is Status.OK
+        finally:
+            second.close()
 
 
 class TestBackpressure:
