@@ -844,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         replicas="runtimes per deployed kernel",
         n_pe=None, n_b=None, max_len=None,
-        max_batch="size-triggered flush threshold (per kernel)",
-        max_delay_ms="deadline-triggered flush linger bound",
+        max_batch="queued requests that flush at once, runtime busy or not",
+        max_delay_ms="cap on waiting behind a busy runtime (idle: no wait)",
         queue_bound="per-kernel admission bound (backpressure)",
         cache_dir="enable the content-addressed cache, persisted here",
         cache_mem_mb="in-memory cache tier budget (MiB)",

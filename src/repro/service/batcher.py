@@ -1,16 +1,18 @@
 """Per-kernel dynamic batching: the software twin of the block arbiter.
 
-On the device, an arbiter keeps ``N_B`` blocks fed from a channel queue;
-online, the equivalent problem is deciding *when to stop waiting for more
-requests*.  :class:`DynamicBatcher` implements the classic two-trigger
-policy:
+On the device, an arbiter keeps ``N_B`` blocks fed from a channel queue
+and a block never idles while work is ready.  :class:`DynamicBatcher` is
+work-conserving the same way: batches form *because* the runtime is busy,
+not because a clock ran out.  Three triggers flush a kernel's queue:
 
-* **size trigger** — the moment a kernel's queue holds ``max_batch``
-  requests, a full batch flushes (blocks never idle while work is ready);
-* **deadline trigger** — a background flusher thread flushes a partial
-  batch when its oldest request has lingered ``max_delay_ms``, tightened
-  further by any request-carried ``deadline_ms`` (a fraction of the
-  budget is reserved for queueing, the rest for execution).
+* **idle trigger** — while fewer batches of the kernel are in flight than
+  ``slots(kernel_id)`` (its routable runtimes) the queue boards at once:
+  on ``offer``, and on ``done`` for what queued behind a busy runtime;
+* **size trigger** — the moment the queue holds ``max_batch`` requests a
+  full batch flushes, busy or not;
+* **deadline trigger** — a flusher thread caps the wait behind a busy
+  runtime at ``max_delay_ms``, tightened by any request-carried
+  ``deadline_ms`` (half the budget may queue, half is left to execute).
 
 Admission control is the backpressure half: when a kernel's pending
 queue is at ``max_queue_depth``, :meth:`DynamicBatcher.offer` refuses
@@ -34,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional
 QUEUE_BUDGET_FRACTION = 0.5
 
 #: Flush trigger labels (also the metrics counter suffixes).
+TRIGGER_IDLE = "idle"
 TRIGGER_SIZE = "size"
 TRIGGER_DEADLINE = "deadline"
 TRIGGER_SHUTDOWN = "shutdown"
@@ -44,9 +47,9 @@ class BatcherConfig:
     """Batching policy knobs.
 
     ``max_batch`` mirrors ``N_B`` — a flush should fill the blocks of
-    one runtime; ``max_delay_ms`` bounds how long the first request of a
-    partial batch waits; ``max_queue_depth`` is the per-kernel admission
-    bound (queued-but-unflushed requests).
+    one runtime; ``max_delay_ms`` caps how long a request waits behind a
+    busy runtime (without ``slots``: how long a partial batch lingers);
+    ``max_queue_depth`` is the per-kernel admission bound.
     """
 
     max_batch: int = 8
@@ -89,13 +92,14 @@ class PendingEntry:
 
 
 class DynamicBatcher:
-    """Size- and deadline-triggered per-kernel batching with admission.
+    """Idle-, size- and deadline-triggered per-kernel batching with admission.
 
     ``flush(kernel_id, entries, trigger)`` is invoked with the boarded
-    entries (priority order) and the trigger label.  Size-triggered
-    flushes run on the offering thread; deadline flushes on the internal
-    flusher thread — the callable must therefore hand real work off
-    quickly (the service core enqueues to its dispatch executor).
+    entries (priority order) and the trigger label, on the thread that
+    offered or reported :meth:`done`, or (deadline) on the flusher thread:
+    it must hand real work off quickly (the service core enqueues to its
+    dispatch executor) and answer each flush with one :meth:`done`.
+    Without ``slots`` nothing is ever idle: size and deadline alone flush.
     """
 
     def __init__(
@@ -103,10 +107,14 @@ class DynamicBatcher:
         config: BatcherConfig,
         flush: Callable[[int, List[PendingEntry], str], None],
         clock: Callable[[], float] = time.monotonic,
+        slots: Optional[Callable[[int], int]] = None,
     ) -> None:
         self.config = config
         self._flush = flush
         self._clock = clock
+        self._slots = slots
+        self._in_flight: Dict[int, int] = {}
+        self._wake_at: Optional[float] = None  # earliest deadline flusher saw
         self._queues: Dict[int, List[PendingEntry]] = {}
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -128,10 +136,11 @@ class DynamicBatcher:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop the flusher and flush every residual entry."""
+        """Stop the flusher and idle boarding; flush every residual entry."""
         with self._lock:
             was_running = self._running
             self._running = False
+            self._slots = None  # the flush taker may be gone: never idle now
             self._wakeup.notify_all()
         if was_running and self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -158,7 +167,7 @@ class DynamicBatcher:
         linger_ms = self.config.max_delay_ms
         if deadline_ms is not None:
             linger_ms = min(linger_ms, deadline_ms * QUEUE_BUDGET_FRACTION)
-        batch: Optional[List[PendingEntry]] = None
+        trigger: Optional[str] = None
         with self._lock:
             queue = self._queues.setdefault(kernel_id, [])
             if len(queue) >= self.config.max_queue_depth:
@@ -174,12 +183,25 @@ class DynamicBatcher:
             self._seq += 1
             queue.append(entry)
             if len(queue) >= self.config.max_batch:
-                batch = self._board(queue)
-            else:
+                trigger = TRIGGER_SIZE
+            elif self._idle(kernel_id):
+                trigger = TRIGGER_IDLE
+            elif self._wake_at is None or entry.flush_at < self._wake_at:
+                self._wake_at = entry.flush_at
                 self._wakeup.notify_all()
-        if batch is not None:
-            self._flush(kernel_id, batch, TRIGGER_SIZE)
+            batch = self._board(kernel_id) if trigger else None
+        if batch:
+            self._flush(kernel_id, batch, trigger)
         return True
+
+    def done(self, kernel_id: int) -> None:
+        """One flushed batch finished: board what queued behind it."""
+        with self._lock:
+            self._in_flight[kernel_id] -= 1
+            waiting = self._queues.get(kernel_id) and self._idle(kernel_id)
+            batch = self._board(kernel_id) if waiting else None
+        if batch:
+            self._flush(kernel_id, batch, TRIGGER_IDLE)
 
     def depth(self, kernel_id: int) -> int:
         """Currently queued (unflushed) entries for one kernel."""
@@ -188,11 +210,18 @@ class DynamicBatcher:
 
     # -- internals ----------------------------------------------------
 
-    def _board(self, queue: List[PendingEntry]) -> List[PendingEntry]:
-        """Pop up to ``max_batch`` entries in boarding order (lock held)."""
+    def _idle(self, kernel_id: int) -> bool:
+        """Whether a runtime of ``kernel_id`` is free (lock held)."""
+        return (self._slots is not None
+                and self._in_flight.get(kernel_id, 0) < self._slots(kernel_id))
+
+    def _board(self, kernel_id: int) -> List[PendingEntry]:
+        """Pop the next batch in boarding order, now in flight (lock held)."""
+        queue = self._queues[kernel_id]
         queue.sort(key=lambda e: e.boarding_key)
         boarded = queue[: self.config.max_batch]
         del queue[: self.config.max_batch]
+        self._in_flight[kernel_id] = self._in_flight.get(kernel_id, 0) + 1
         return boarded
 
     def _drain_all(self) -> List:
@@ -201,7 +230,7 @@ class DynamicBatcher:
         with self._lock:
             for kernel_id, queue in self._queues.items():
                 while queue:
-                    drained.append((kernel_id, self._board(queue)))
+                    drained.append((kernel_id, self._board(kernel_id)))
         return drained
 
     def _earliest_flush_at(self) -> Optional[float]:
@@ -220,7 +249,7 @@ class DynamicBatcher:
             with self._lock:
                 if not self._running:
                     return
-                earliest = self._earliest_flush_at()
+                earliest = self._wake_at = self._earliest_flush_at()
                 now = self._clock()
                 if earliest is None:
                     self._wakeup.wait(timeout=0.5)
@@ -230,7 +259,7 @@ class DynamicBatcher:
                     continue
                 for kernel_id, queue in self._queues.items():
                     if queue and min(e.flush_at for e in queue) <= now:
-                        expired.append((kernel_id, self._board(queue)))
+                        expired.append((kernel_id, self._board(kernel_id)))
             for kernel_id, batch in expired:
                 if batch:
                     self._flush(kernel_id, batch, TRIGGER_DEADLINE)

@@ -32,7 +32,8 @@ in-flight pair it holds has resolved, so retirement never drops work.
 Each member also executes exclusively (one batch at a time), which is
 what makes a replica an honest unit of serving capacity: a simulated
 device channel, like the FPGA block it models, cannot time-slice two
-batches.  The :mod:`repro.autoscale` actuator drives both operations.
+batches — and why :meth:`DevicePool.active_members` is the batcher's slot
+count.  The :mod:`repro.autoscale` actuator drives both operations.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ through :meth:`ServiceCore.submit` and resolve a :class:`ReplySlot`
 (a minimal future) with an :class:`~repro.service.protocol.AlignResponse`.
 Internally a request flows
 
-    submit → validate → batcher.offer → (size/deadline flush)
+    submit → validate → batcher.offer → (idle/size/deadline flush)
            → dispatch executor → DevicePool.execute → resolve slots
+           → batcher.done (boards what queued meanwhile)
 
 with every hop reported to the core's :mod:`repro.obs` recorder (counters
 and histograms always; spans too when tracing).  Admission failures
@@ -14,14 +15,16 @@ and histograms always; spans too when tracing).  Admission failures
 immediately — every submitted request is *answered*, never dropped.
 
 :class:`AlignmentServer` wraps the core in a ``ThreadingTCPServer``
-speaking the JSON-line protocol: one handler thread per connection reads
-requests; responses are written by whichever dispatch thread resolves
-them (a per-connection write lock keeps lines atomic), so responses may
-legally arrive out of request order — clients demultiplex by id.
+speaking the JSON-line protocol (``TCP_NODELAY``): one handler thread per
+connection reads requests; the dispatch thread resolving a flush writes
+its responses in one ``sendall`` per connection (a write lock keeps lines
+atomic), so responses may legally arrive out of request order — clients
+demultiplex by id.
 """
 
 from __future__ import annotations
 
+import socket
 import socketserver
 import threading
 import time
@@ -46,6 +49,11 @@ from repro.service.protocol import (
     rejection,
     response_from_result,
 )
+
+#: Histogram bounds of ``batch_size`` and ``batch_occupancy``.
+_BATCH_SIZE_BOUNDS = [float(b) for b in range(1, 129)]
+_OCCUPANCY_BOUNDS = [k / 64.0 for k in range(1, 65)]
+
 
 class ReplySlot:
     """A minimal thread-safe future holding one response.
@@ -135,7 +143,11 @@ class ServiceCore:
         self.metrics = getattr(recorder, "metrics", None) or metrics \
             or MetricsRegistry()
         self._clock = clock
-        self.batcher = DynamicBatcher(self.config, self._on_flush, clock=clock)
+        self.batcher = DynamicBatcher(
+            self.config, self._on_flush, clock=clock,
+            slots=lambda kernel_id: len(pool.active_members(kernel_id)),
+        )
+        self._cork = threading.local()
         workers = dispatchers if dispatchers is not None else len(pool.members)
         if workers < 1:
             raise ValueError(f"dispatchers must be >= 1, got {workers}")
@@ -246,31 +258,48 @@ class ServiceCore:
         self.recorder.count("flushes_total")
         self.recorder.count(f"flush_{trigger}_total")
         self.recorder.observe(
-            "batch_size", len(entries),
-            bounds=[float(b) for b in range(1, 129)],
+            "batch_size", len(entries), bounds=_BATCH_SIZE_BOUNDS
         )
         self.recorder.observe(
             "batch_occupancy", len(entries) / self.config.max_batch,
-            bounds=[k / 64.0 for k in range(1, 65)],
+            bounds=_OCCUPANCY_BOUNDS,
         )
         try:
             self._dispatch.submit(self._run_batch, kernel_id, entries, trigger)
         except RuntimeError:
             # Executor already shut down: answer rather than drop.
+            self.batcher.done(kernel_id)
             for entry in entries:
-                self._resolve_entry(
-                    entry,
-                    rejection(
-                        entry.payload.request.request_id,
-                        "service shut down before dispatch",
-                    ),
-                )
+                entry.payload.resolve(rejection(
+                    entry.payload.request.request_id,
+                    "service shut down before dispatch",
+                ))
 
     def _run_batch(
-        self,
-        kernel_id: int,
-        entries: List[PendingEntry],
-        trigger: str = "size",
+        self, kernel_id: int, entries: List[PendingEntry], trigger: str
+    ) -> None:
+        """Run one flush: its responses leave joined, then its slot is free."""
+        held = self._cork.held = {}  # what deliver() holds on this thread
+        try:
+            try:
+                self._execute(kernel_id, entries, trigger)
+            finally:
+                self._cork.held = None
+                for write, payloads in held.items():
+                    write(b"".join(payloads))
+        finally:
+            self.batcher.done(kernel_id)
+
+    def deliver(self, write: Callable[[bytes], None], payload: bytes) -> None:
+        """``write(payload)`` now, or joined when the resolving flush ends."""
+        held = getattr(self._cork, "held", None)
+        if held is None:
+            write(payload)
+        else:
+            held.setdefault(write, []).append(payload)
+
+    def _execute(
+        self, kernel_id: int, entries: List[PendingEntry], trigger: str
     ) -> None:
         """Execute one flushed batch on the pool and resolve its slots."""
         pairs = [
@@ -294,9 +323,8 @@ class ServiceCore:
                 f"kernel.{kernel_id}.completed_total", len(entries)
             )
             for entry in entries:
-                self._resolve_entry(
-                    entry,
-                    error_response(entry.payload.request.request_id, str(exc)),
+                entry.payload.resolve(
+                    error_response(entry.payload.request.request_id, str(exc))
                 )
             return
         errors = {err.index: err for err in outcome.errors}
@@ -343,13 +371,7 @@ class ServiceCore:
                 kernel=kernel_id, request_id=request.request_id,
                 ok=index not in errors,
             )
-            self._resolve_entry(entry, response)
-
-    @staticmethod
-    def _resolve_entry(entry: PendingEntry, response: AlignResponse) -> None:
-        """Resolve the reply slot riding in a pending entry."""
-        slot: ReplySlot = entry.payload
-        slot.resolve(response)
+            entry.payload.resolve(response)
 
     # -- introspection ------------------------------------------------
 
@@ -380,12 +402,13 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
         """Pump requests until EOF; responses write as they resolve."""
         core: ServiceCore = self.server.core  # type: ignore[attr-defined]
         write_lock = threading.Lock()
+        # One write per flush: Nagle would only hold it for the client's ACK.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
         def send(payload: bytes) -> None:
             try:
                 with write_lock:
-                    self.wfile.write(payload)
-                    self.wfile.flush()
+                    self.connection.sendall(payload)
             except (OSError, ValueError):
                 pass  # connection gone; the metrics still counted the work
 
@@ -404,7 +427,7 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
                     request = AlignRequest.from_dict(message)
                     slot = core.submit(request)
                     slot.add_done_callback(
-                        lambda response: send(response.to_line())
+                        lambda response: core.deliver(send, response.to_line())
                     )
                 elif kind == "metrics":
                     send(encode_line({

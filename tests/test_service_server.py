@@ -2,14 +2,16 @@
 
 Pins the serving subsystem's acceptance contract: a 2-runtime
 mixed-kernel pool answers hundreds of concurrent requests with payloads
-byte-identical to ``DeviceRuntime.run`` on the same pairs,
-deadline-triggered flushes are observable in the metrics, and past the
-admission bound requests are *rejected* (answered), never dropped.
+byte-identical to ``DeviceRuntime.run`` on the same pairs, idle- and
+size-triggered flushes are observable in the metrics, a flush reaches
+each connection in one write, and past the admission bound requests are
+*rejected* (answered), never dropped.
 """
 
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -56,6 +58,23 @@ def two_runtime_pool():
     ])
 
 
+def wait_until(condition, timeout=30.0):
+    """Poll ``condition()`` until true; the final verdict is returned."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+def flush_counts(core):
+    """``{trigger: flushes}`` from the core's counters."""
+    counters = core.metrics.snapshot()["counters"]
+    return {
+        name[len("flush_"):-len("_total")]: value
+        for name, value in counters.items() if name.startswith("flush_")
+    }
+
+
 @pytest.fixture
 def served_core():
     """A started core over a 2-runtime mixed-kernel pool."""
@@ -100,14 +119,14 @@ class TestEndToEndTCP:
                 assert response.to_line(with_latency=False) == \
                     expected.to_line(with_latency=False)
 
-            # A solo request on an empty queue can only leave via the
-            # deadline trigger — it must then show up in the metrics.
+            # A solo request on a drained service leaves via the idle
+            # trigger — it must then show up in the metrics.
             kernel_id, query, reference = workload[0]
             assert client.align(kernel_id, query, reference).ok
             snapshot = client.metrics()
             counters = snapshot["counters"]
             assert counters["aligned_total"] == 201
-            assert counters["flush_deadline_total"] >= 1
+            assert counters["flush_idle_total"] >= 1
             assert counters["flush_size_total"] >= 1
             assert counters.get("rejected_total", 0) == 0
             assert snapshot["histograms"]["latency_ms"]["count"] == 201
@@ -158,6 +177,109 @@ class TestEndToEndTCP:
             closer.start()
             closer.join(timeout=30.0)
         assert not closer.is_alive()
+
+
+class _CountingSocket:
+    """An accepted connection that records every ``sendall``."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sendalls = []
+
+    def sendall(self, data):
+        self.sendalls.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _CountingServer(AlignmentServer):
+    """Hands its handlers :class:`_CountingSocket` connections."""
+
+    def __init__(self, address, core):
+        self.accepted = []
+        super().__init__(address, core)
+
+    def get_request(self):
+        sock, peer = super().get_request()
+        self.accepted.append(_CountingSocket(sock))
+        return self.accepted[-1], peer
+
+
+class TestWire:
+    """What the server does to the socket: un-Nagled, one write a flush."""
+
+    @pytest.fixture
+    def served(self):
+        pool = DevicePool([DeviceRuntime(get_kernel(1), small_config())])
+        core = ServiceCore(pool, BatcherConfig(
+            max_batch=64, max_delay_ms=10_000.0, max_queue_depth=512
+        )).start()
+        server = _CountingServer(("127.0.0.1", 0), core)
+        server.serve_in_thread()
+        yield server
+        server.close()
+
+    def test_lone_request_does_not_wait_for_the_timer(self, served):
+        client = AlignmentClient(*served.server_address)
+        try:
+            _kid, query, reference = make_workload(1)[0]
+            assert client.align(1, query, reference).ok  # lowers the kernel
+            started = time.monotonic()
+            assert client.align(1, query, reference).ok
+            assert time.monotonic() - started < 1.0  # max_delay_ms is 10 s
+            assert flush_counts(served.core) == {"idle": 2}
+        finally:
+            client.close()
+
+    def test_accepted_socket_is_un_nagled(self, served):
+        with socket.create_connection(served.server_address, timeout=30) as sock:
+            wire = sock.makefile("rwb")
+            wire.write(b'{"type":"ping","id":"p"}\n')
+            wire.flush()
+            assert json.loads(wire.readline())["type"] == "pong"
+            accepted, = served.accepted
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_a_flush_is_one_write_and_inline_answers_write_at_once(self, served):
+        core = served.core
+        client = AlignmentClient(*served.server_address)
+        try:
+            workload = make_workload(65)
+            # Hold the runtime: request 0 boards alone (idle) and blocks,
+            # the next 64 fill one size flush behind it.
+            with core.pool.members[0].exclusive:
+                slots = [
+                    client.submit(1, query, reference)
+                    for _kid, query, reference in workload
+                ]
+                assert wait_until(
+                    lambda: flush_counts(core) == {"idle": 1, "size": 1}
+                )
+                connection, = served.accepted
+                assert connection.sendalls == []
+                # Inline answers are not held for any flush.
+                assert client.ping()
+                refused = client.align(1, tuple([0] * 100), (0, 1))
+                assert refused.status is Status.ERROR
+                assert len(connection.sendalls) == 2
+            responses = [slot.result(timeout=60.0) for slot in slots]
+            assert all(r.status is Status.OK for r in responses)
+            first, batch = connection.sendalls[2:]
+            assert first.count(b"\n") == 1
+            assert batch.count(b"\n") == 64
+        finally:
+            client.close()
+
+    def test_malformed_line_is_one_immediate_write(self, served):
+        with socket.create_connection(served.server_address, timeout=30) as sock:
+            wire = sock.makefile("rwb")
+            wire.write(b"this is not json\n")
+            wire.flush()
+            assert json.loads(wire.readline())["status"] == "error"
+            connection, = served.accepted
+            assert len(connection.sendalls) == 1
 
 
 class TestHostileWire:
@@ -256,22 +378,66 @@ class TestInProc:
         assert late.status is Status.REJECTED
 
     def test_shutdown_resolves_residual_queue(self):
-        """stop() must answer entries still lingering in the batcher."""
+        """stop() must answer entries still waiting in the batcher.
+
+        The first request boards alone and is held in flight; the other
+        two wait behind it (only shutdown can flush them: 60 s cap).
+        Its done() then arrives after stop() and must board nothing.
+        """
         core = ServiceCore(two_runtime_pool(), BatcherConfig(
-            max_batch=64, max_delay_ms=60_000.0  # only shutdown can flush
+            max_batch=64, max_delay_ms=60_000.0
         )).start()
         client = InProcClient(core)
-        slots = [client.submit(1, (0, 1, 2), (0, 1, 2)) for _ in range(3)]
         done = threading.Event()
 
         def stopper():
             core.stop()
             done.set()
 
-        threading.Thread(target=stopper).start()
+        member, = core.pool.active_members(1)
+        with member.exclusive:
+            slots = [client.submit(1, (0, 1, 2), (0, 1, 2)) for _ in range(3)]
+            assert core.batcher.depth(1) == 2
+            threading.Thread(target=stopper).start()
+            assert wait_until(lambda: core.batcher.depth(1) == 0)
+            assert not done.is_set()  # stop() waits for the batch in flight
         responses = [slot.result(timeout=60.0) for slot in slots]
         assert done.wait(timeout=60.0)
         assert all(r.status is Status.OK for r in responses)
+        assert flush_counts(core) == {"idle": 1, "shutdown": 1}
+
+    def test_burst_behind_a_busy_runtime_drains_in_full_batches(self):
+        """2,000 offers at once: between the first flush (one request,
+        idle) and the last (the 15 left over) every flush is a size
+        flush of 64 — work-conserving must not mean small batches."""
+        pool = DevicePool([DeviceRuntime(get_kernel(1), small_config())])
+        with ServiceCore(pool, BatcherConfig(
+            max_batch=64, max_delay_ms=10_000.0, max_queue_depth=100_000
+        )) as core:
+            client = InProcClient(core)
+            _kid, query, reference = make_workload(1)[0]
+            with pool.members[0].exclusive:  # busy until all are offered
+                slots = [
+                    client.submit(1, query, reference) for _ in range(2000)
+                ]
+            responses = [slot.result(timeout=120.0) for slot in slots]
+            assert all(r.status is Status.OK for r in responses)
+            assert flush_counts(core) == {"idle": 2, "size": 31}
+            assert core.batcher._in_flight == {1: 0}
+
+    def test_failed_batch_still_frees_its_slot(self):
+        """An exception escaping pool.execute reaches batcher.done()."""
+        pool = DevicePool([DeviceRuntime(get_kernel(1), small_config())])
+        with ServiceCore(pool, BatcherConfig(
+            max_batch=64, max_delay_ms=10_000.0
+        )) as core:
+            execute = pool.execute
+            pool.execute = lambda *_a: (_ for _ in ()).throw(OSError("boom"))
+            InProcClient(core).submit(1, (0, 1), (0, 1))
+            assert wait_until(lambda: core.batcher._in_flight == {1: 0})
+            pool.execute = execute
+            # The slot is free again: the next lone request boards idle.
+            assert InProcClient(core).align(1, (0, 1), (0, 1), timeout=5.0).ok
 
     def test_concurrent_submitters_all_resolve(self):
         """Many client threads hammering one core: every slot resolves."""
