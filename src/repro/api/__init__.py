@@ -46,7 +46,7 @@ class ServiceHandle:
 
     def __init__(self, server: Any, core: Any) -> None:
         self._server = server
-        self._core = core
+        self.core = core
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -55,12 +55,11 @@ class ServiceHandle:
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The service core's JSON-safe metrics snapshot."""
-        return self._core.metrics_snapshot()
+        return self.core.metrics_snapshot()
 
     def close(self) -> Dict[str, int]:
         """Stop accepting, drain the batcher, and release the pool."""
-        self._server.close()
-        self._core.stop()
+        self._server.close()  # stops the core too
         return {"service": 0}
 
 
@@ -75,7 +74,7 @@ def serve(
     ``shards=1`` serves from this process (a
     :class:`~repro.service.AlignmentServer` over a batcher core, with
     the deployment's cache attached); ``shards > 1`` spawns worker
-    processes behind the asyncio front door
+    processes behind the routing front door
     (:class:`repro.shard.ShardServer`).  Returns a started handle with
     ``address``, ``metrics_snapshot()`` and ``close()``.
     """

@@ -15,15 +15,14 @@ driver").
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.result import CycleReport
-from repro.core.spec import KernelSpec, StartRule
+from repro.core.spec import KernelSpec
 from repro.systolic.engine import INTERFACE_CYCLES_PER_BASE
-from repro.systolic.schedule import count_wavefronts
+from repro.systolic.schedule import closed_form_cycles
 
 
 def unskew(diagonals: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -95,23 +94,9 @@ def cycle_report(
     The same arithmetic the systolic engine accumulates while running,
     reconstructed from the closed-form wavefront count.
     """
-    total_wavefronts = count_wavefronts(n_rows, n_cols, n_pe, spec.banding)
-    if spec.start_rule is StartRule.BOTTOM_RIGHT:
-        reduction_cycles = 0
-    else:
-        reduction_cycles = max(1, math.ceil(math.log2(max(2, n_pe)))) + 2
-    return CycleReport(
-        init_cycles=(n_cols + 1) + (n_rows + 1),
-        load_cycles=n_rows,
-        compute_cycles=total_wavefronts * ii,
-        reduction_cycles=reduction_cycles,
-        traceback_cycles=traceback_cycles,
-        interface_cycles=(
-            INTERFACE_CYCLES_PER_BASE * (n_rows + n_cols)
-            if model_interface else 0
-        ),
-        wavefronts=total_wavefronts,
-        ii=ii,
+    return closed_form_cycles(
+        spec, n_rows, n_cols, n_pe, ii, traceback_cycles,
+        INTERFACE_CYCLES_PER_BASE if model_interface else 0,
     )
 
 

@@ -270,8 +270,8 @@ def cmd_serve(args) -> int:
     """Run the always-on alignment service until interrupted.
 
     ``--shards 1`` (the default) serves from this process;
-    ``--shards N`` spawns N worker processes behind an asyncio front
-    door that routes each request by its cache fingerprint.
+    ``--shards N`` spawns N worker processes behind a front door that
+    routes each request by its cache fingerprint.
     """
     import json as json_module
     import signal
@@ -287,60 +287,46 @@ def cmd_serve(args) -> int:
         signal.signal(signal.SIGTERM, _graceful)
         signal.signal(signal.SIGINT, _graceful)
 
+    from repro.api import serve
+
     deployment = _deployment_from_args(args)
+    service = serve(
+        deployment, args.host, args.port, shards=max(1, args.shards)
+    )
+    host, port = service.address
     if args.shards > 1:
-        from repro.shard import ShardServer
-
-        server = ShardServer(
-            (args.host, args.port), deployment, n_shards=args.shards
-        ).start()
-        host, port = server.address
-        _print_deployed(deployment.kernel_ids)
         shard_ports = ", ".join(
-            f"{h.name}:{h.port}" for h in server.manager.handles()
+            f"{h.name}:{h.port}" for h in service.manager.handles()
         )
-        print(f"serving kernels {list(deployment.kernel_ids)} on "
-              f"{host}:{port} ({args.shards} shards: {shard_ports}, "
-              f"backend={deployment.backend})",
-              flush=True)
-        snapshot = {}
-        stop = threading.Event()
-        try:
-            # wait() with a timeout stays interruptible by SIGINT
-            # (an untimed lock acquire on the main thread is not).
-            while not stop.wait(1.0):
-                pass
-        except KeyboardInterrupt:
-            pass
-        finally:
-            try:
-                snapshot = server.metrics_snapshot()
-            except Exception:  # noqa: BLE001 - shutdown still proceeds
-                pass
-            codes = server.close()
-            print(json_module.dumps(snapshot, indent=2, sort_keys=True))
-            print(f"drained shards: {json_module.dumps(codes, sort_keys=True)}")
-        return 0 if all(code == 0 for code in codes.values()) else 1
-
-    from repro.service import AlignmentServer
-
-    core = deployment.build_core(cache=deployment.build_cache()).start()
-    server = AlignmentServer((args.host, args.port), core)
-    host, port = server.server_address
+        detail = f"{args.shards} shards: {shard_ports}"
+    else:
+        detail = (
+            f"{len(service.core.pool.members)} runtimes, "
+            f"max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
+            f"queue_bound={args.queue_bound}"
+        )
     _print_deployed(deployment.kernel_ids)
-    print(f"serving kernels {list(deployment.kernel_ids)} on {host}:{port} "
-          f"({len(core.pool.members)} runtimes, max_batch={args.max_batch}, "
-          f"max_delay={args.max_delay_ms}ms, queue_bound={args.queue_bound}, "
-          f"backend={deployment.backend})",
-          flush=True)
-    try:
-        server.serve_forever()
+    final = {}
+    try:  # from the ready line on: a signal sent on reading it must drain
+        print(f"serving kernels {list(deployment.kernel_ids)} on "
+              f"{host}:{port} ({detail}, backend={deployment.backend})",
+              flush=True)
+        # wait() with a timeout stays interruptible by SIGINT
+        # (an untimed lock acquire on the main thread is not).
+        while not threading.Event().wait(1.0):
+            pass
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
-        print(json_module.dumps(core.metrics_snapshot(), indent=2, sort_keys=True))
-    return 0
+        try:
+            final = service.metrics_snapshot()
+        except Exception:  # noqa: BLE001 - shutdown still proceeds
+            pass
+        codes = service.close()
+        print(json_module.dumps(final, indent=2, sort_keys=True))
+        if args.shards > 1:
+            print(f"drained shards: {json_module.dumps(codes, sort_keys=True)}")
+    return 0 if all(code == 0 for code in codes.values()) else 1
 
 
 def _validate_loadgen_sources(args) -> None:
@@ -616,7 +602,6 @@ def cmd_trace(args) -> int:
     or https://ui.perfetto.dev.
     """
     from repro.obs import TraceRecorder, use_recorder, write_chrome_trace
-    from repro.obs.export import render_text_snapshot
 
     deployment = _deployment_from_args(args)
     recorder = TraceRecorder()
@@ -629,7 +614,7 @@ def cmd_trace(args) -> int:
     categories = sorted({
         event.category for event in recorder.events() if event.kind == "span"
     })
-    print(render_text_snapshot(core.metrics_snapshot()))
+    print(core.metrics_text())
     print(f"trace: {len(recorder.events())} events "
           f"(spans in {', '.join(categories)}; "
           f"{recorder.dropped_events} dropped) -> {args.out}")
@@ -852,9 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_arg(p, "alignment engine backing every runtime")
     p.add_argument("--shards", type=int, default=1,
-                   help="worker shard processes behind an asyncio front "
-                        "door routing on cache fingerprints (1 = serve "
-                        "from this process)")
+                   help="worker shard processes behind a front door "
+                        "routing on cache fingerprints (1 = serve from "
+                        "this process)")
 
     p = sub.add_parser(
         "loadgen",

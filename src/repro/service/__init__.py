@@ -27,7 +27,8 @@ timelines (``repro trace``).  The metric primitives themselves
 
 For scale-out beyond one process, :mod:`repro.shard` fronts N worker
 processes — each running this package's server unchanged — behind one
-asyncio endpoint with consistent-hash routing on cache fingerprints.
+more :class:`AlignmentServer`, whose core routes on cache fingerprints
+over a consistent-hash ring instead of batching.
 """
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry

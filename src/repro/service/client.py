@@ -23,13 +23,17 @@ needs when the server is still spawning shards.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import queue
 import random
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.service.protocol import (
     AlignRequest,
@@ -156,15 +160,19 @@ class LoadProfile:
         return f"ramp:{self.t0_s:g}:{self.t1_s:g}:{self.multiplier:g}"
 
 
-class InProcClient:
-    """The client surface over an in-process :class:`ServiceCore`."""
+class _Submitter:
+    """What both clients share: ids, building a request, blocking on it.
 
-    def __init__(self, core: ServiceCore) -> None:
-        self.core = core
+    A subclass says how a built request travels (``send``).
+    """
+
+    _id_prefix = "req"
+
+    def __init__(self) -> None:
         self._ids = itertools.count()
 
     def _next_id(self) -> str:
-        return f"inproc-{next(self._ids)}"
+        return f"{self._id_prefix}-{next(self._ids)}"
 
     def submit(
         self,
@@ -176,15 +184,14 @@ class InProcClient:
         request_id: Optional[str] = None,
     ) -> ReplySlot:
         """Fire one request; returns its reply slot immediately."""
-        request = AlignRequest(
+        return self.send(AlignRequest(
             request_id=request_id or self._next_id(),
             kernel_id=kernel_id,
             query=tuple(query),
             reference=tuple(reference),
             deadline_ms=deadline_ms,
             priority=priority,
-        )
-        return self.core.submit(request)
+        ))
 
     def align(
         self,
@@ -197,15 +204,27 @@ class InProcClient:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(kernel_id, query, reference, **kwargs).result(timeout)
 
+
+class InProcClient(_Submitter):
+    """The client surface over an in-process :class:`ServiceCore`."""
+
+    _id_prefix = "inproc"
+
+    def __init__(self, core: ServiceCore) -> None:
+        super().__init__()
+        self.core = core
+
+    def send(self, request: AlignRequest) -> ReplySlot:
+        """Hand one built request to the core."""
+        return self.core.submit(request)
+
     def metrics(self) -> Dict:
         """Live metrics snapshot."""
         return self.core.metrics_snapshot()
 
     def metrics_text(self) -> str:
         """Plain-text rendering of the metrics snapshot."""
-        from repro.obs.export import render_text_snapshot
-
-        return render_text_snapshot(self.core.metrics_snapshot())
+        return self.core.metrics_text()
 
     def trace(self) -> Dict:
         """Chrome trace JSON captured by the core's recorder."""
@@ -282,13 +301,26 @@ def connect_with_retry(
     ) from last
 
 
-class AlignmentClient:
+class AlignmentClient(_Submitter):
     """JSON-line TCP client with response demultiplexing by id.
 
     ``read_timeout`` bounds how long any *outstanding* request may go
     without the server producing a byte; when it trips, every pending
     request resolves as an error and the connection closes.  A quiet
     connection with nothing in flight is left alone.
+
+    A request line is written at once when nothing is in flight — its
+    answer waits on this write alone — and otherwise left to a writer
+    thread, which joins whatever queued while it waited to run: with
+    answers already owed, a ``sendall`` per line buys no latency and
+    hands the interpreter lock around once per request (a burst, or a
+    relay's handler with more lines to read).  Two things serve a caller
+    that relays (the shard front door): ``on_close(reason)`` is called
+    once when the connection ends, however it ends, before what is still
+    pending is failed; ``chunk_scope`` is a reusable context manager
+    entered around the responses of each received chunk, so what one
+    server write carried can be passed on as one write
+    (:class:`~repro.service.server.Cork`).
     """
 
     def __init__(
@@ -297,29 +329,60 @@ class AlignmentClient:
         port: int,
         connect_timeout: float = 10.0,
         read_timeout: Optional[float] = None,
+        on_close: Optional[Callable[[str], None]] = None,
+        chunk_scope: Optional[ContextManager] = None,
     ) -> None:
+        super().__init__()
         self._sock = socket.create_connection((host, port), connect_timeout)
         self._read_timeout = read_timeout
+        self._on_close = on_close
+        self._chunk_scope = chunk_scope or contextlib.nullcontext()
         self._sock.settimeout(read_timeout)
-        self._wfile = self._sock.makefile("wb")
         self._write_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: Dict[str, ReplySlot] = {}
-        self._metrics_waiters: Dict[str, "_Mailbox"] = {}
-        self._ids = itertools.count()
+        self._metrics_waiters: Dict[str, "queue.SimpleQueue[Dict]"] = {}
         self._closed = False
+        self._outbox: "queue.SimpleQueue[Optional[bytes]]" = queue.SimpleQueue()
+        threading.Thread(
+            target=self._write_loop, name="alignment-client-writer", daemon=True
+        ).start()
         self._reader = threading.Thread(
             target=self._read_loop, name="alignment-client-reader", daemon=True
         )
         self._reader.start()
 
-    def _next_id(self) -> str:
-        return f"req-{next(self._ids)}"
+    @property
+    def in_flight(self) -> int:
+        """Requests sent and not yet answered."""
+        return len(self._pending)
 
-    def _send(self, payload: bytes) -> None:
-        with self._write_lock:
-            self._wfile.write(payload)
-            self._wfile.flush()
+    @property
+    def closed(self) -> bool:
+        """Whether the connection has ended."""
+        return self._closed
+
+    def _send(self, payload: bytes, join: bool = False) -> None:
+        """Write ``payload`` now, or with ``join`` leave it to the writer."""
+        if join:
+            self._outbox.put(payload)
+        else:
+            with self._write_lock:
+                self._sock.sendall(payload)
+
+    def _write_loop(self) -> None:
+        """Send what queued, joined, until closed."""
+        outbox = self._outbox
+        while True:
+            lines = [outbox.get()]
+            while not outbox.empty():
+                lines.append(outbox.get())
+            if None in lines:  # close()
+                return
+            try:
+                self._send(b"".join(lines))
+            except OSError:
+                return self.close("connection lost while sending")
 
     def _read_loop(self) -> None:
         """Demultiplex every incoming line to its waiting slot.
@@ -348,19 +411,19 @@ class AlignmentClient:
                 if not chunk:
                     break
                 buffer.extend(chunk)
-                while True:
-                    newline = buffer.find(b"\n")
-                    if newline < 0:
-                        break
-                    line = bytes(buffer[:newline]).strip()
-                    del buffer[:newline + 1]
-                    if line:
-                        self._dispatch_line(line)
+                with self._chunk_scope:
+                    while True:
+                        newline = buffer.find(b"\n")
+                        if newline < 0:
+                            break
+                        line = bytes(buffer[:newline]).strip()
+                        del buffer[:newline + 1]
+                        if line:
+                            self._dispatch_line(line)
         except (OSError, ValueError):
             pass
         finally:
-            self._fail_pending(reason)
-            self.close()
+            self.close(reason)
 
     def _dispatch_line(self, line: bytes) -> None:
         """Route one decoded server line to its waiter."""
@@ -368,23 +431,23 @@ class AlignmentClient:
             message = decode_line(line)
         except ProtocolError:
             return
-        kind = message.get("type")
         message_id = message.get("id")
-        if kind == "result" and message_id is not None:
+        if message_id is None:
+            return
+        if message.get("type") == "result":
             with self._pending_lock:
                 slot = self._pending.pop(message_id, None)
             if slot is not None:
+                message["id"] = slot.request.request_id  # see send(wire_id=)
                 slot.resolve(AlignResponse.from_dict(message))
-        elif (
-            kind in ("metrics", "metrics_text", "trace", "pong")
-            and message_id is not None
-        ):
+        else:  # a control-plane reply, whatever its kind: _control knows
             with self._pending_lock:
                 box = self._metrics_waiters.pop(message_id, None)
             if box is not None:
                 box.put(message)
 
-    def _fail_pending(self, reason: str) -> None:
+    def fail_pending(self, reason: str) -> None:
+        """Answer every outstanding request with an explicit error."""
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()
@@ -395,117 +458,90 @@ class AlignmentClient:
                 error=reason,
             ))
 
-    def submit(
-        self,
-        kernel_id: int,
-        query: Sequence[Any],
-        reference: Sequence[Any],
-        deadline_ms: Optional[float] = None,
-        priority: int = 0,
-        request_id: Optional[str] = None,
+    def send(
+        self, request: AlignRequest, wire_id: Optional[str] = None
     ) -> ReplySlot:
-        """Fire one request over the wire; returns its reply slot."""
-        request = AlignRequest(
-            request_id=request_id or self._next_id(),
-            kernel_id=kernel_id,
-            query=tuple(query),
-            reference=tuple(reference),
-            deadline_ms=deadline_ms,
-            priority=priority,
-        )
+        """Fire one built request over the wire; returns its reply slot.
+
+        A relay whose callers' ids may collide has it travel under a
+        ``wire_id`` of its own; the answer still carries the request's id.
+        """
         slot = ReplySlot(request)
-        with self._pending_lock:
-            self._pending[request.request_id] = slot
+        if wire_id is None:
+            wire_id = request.request_id
+        else:
+            request = AlignRequest(
+                wire_id, request.kernel_id, request.query, request.reference,
+                request.deadline_ms, request.priority,
+            )
         try:
-            self._send(request.to_line())
+            line = request.to_line()
+            with self._pending_lock:
+                if self._closed:  # fail_pending() has run: never strand a slot
+                    raise OSError("closed")
+                owed = bool(self._pending)
+                self._pending[wire_id] = slot
+            self._send(line, join=owed)
         except (OSError, ValueError):
             with self._pending_lock:
-                self._pending.pop(request.request_id, None)
+                self._pending.pop(wire_id, None)
             slot.resolve(AlignResponse(
-                request_id=request.request_id,
+                request_id=slot.request.request_id,
                 status=Status.ERROR,
                 error="connection lost while sending",
             ))
         return slot
 
-    def align(
-        self,
-        kernel_id: int,
-        query: Sequence[Any],
-        reference: Sequence[Any],
-        timeout: Optional[float] = 30.0,
-        **kwargs: Any,
-    ) -> AlignResponse:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(kernel_id, query, reference, **kwargs).result(timeout)
+    def _control(self, kind: str, timeout: float) -> Dict:
+        """Round-trip one control-plane message; returns the reply."""
+        message_id = self._next_id()
+        box: "queue.SimpleQueue[Dict]" = queue.SimpleQueue()
+        with self._pending_lock:
+            self._metrics_waiters[message_id] = box
+        try:
+            self._send(encode_line({"type": kind, "id": message_id}))
+            return box.get(timeout=timeout)
+        except queue.Empty:
+            raise TimeoutError(
+                "no control-plane reply from the server"
+            ) from None
+        finally:  # an unanswered probe must not outlive its timeout
+            with self._pending_lock:
+                self._metrics_waiters.pop(message_id, None)
 
     def metrics(self, timeout: float = 10.0) -> Dict:
         """Fetch the server's live metrics snapshot."""
-        message_id = self._next_id()
-        box = _Mailbox()
-        with self._pending_lock:
-            self._metrics_waiters[message_id] = box
-        self._send(encode_line({"type": "metrics", "id": message_id}))
-        reply = box.get(timeout)
-        return reply["snapshot"]
+        return self._control("metrics", timeout)["snapshot"]
 
     def metrics_text(self, timeout: float = 10.0) -> str:
         """Fetch the server's metrics snapshot as plain text."""
-        message_id = self._next_id()
-        box = _Mailbox()
-        with self._pending_lock:
-            self._metrics_waiters[message_id] = box
-        self._send(encode_line({"type": "metrics_text", "id": message_id}))
-        return box.get(timeout)["text"]
+        return self._control("metrics_text", timeout)["text"]
 
     def trace(self, timeout: float = 10.0) -> Dict:
         """Fetch the server-side Chrome trace JSON (empty if not tracing)."""
-        message_id = self._next_id()
-        box = _Mailbox()
-        with self._pending_lock:
-            self._metrics_waiters[message_id] = box
-        self._send(encode_line({"type": "trace", "id": message_id}))
-        return box.get(timeout)["trace"]
+        return self._control("trace", timeout)["trace"]
 
     def ping(self, timeout: float = 10.0) -> bool:
         """Round-trip liveness probe."""
-        message_id = self._next_id()
-        box = _Mailbox()
-        with self._pending_lock:
-            self._metrics_waiters[message_id] = box
-        self._send(encode_line({"type": "ping", "id": message_id}))
-        return box.get(timeout).get("type") == "pong"
+        return self._control("ping", timeout).get("type") == "pong"
 
-    def close(self) -> None:
+    def close(
+        self, reason: str = "connection closed before a response arrived"
+    ) -> None:
         """Close the connection (pending requests resolve as errors)."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._pending_lock:
+            if self._closed:
+                return
+            self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
-
-
-class _Mailbox:
-    """A one-shot blocking slot for control-plane replies."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value: Optional[Dict] = None
-
-    def put(self, value: Dict) -> None:
-        """Deliver the reply."""
-        self._value = value
-        self._event.set()
-
-    def get(self, timeout: Optional[float]) -> Dict:
-        """Wait for the reply."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("no control-plane reply from the server")
-        assert self._value is not None
-        return self._value
+        self._outbox.put(None)
+        if self._on_close is not None:
+            self._on_close(reason)
+        self.fail_pending(reason)
 
 
 @dataclass

@@ -58,7 +58,7 @@ def encode_line(payload: Dict[str, Any]) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
-#: The longest request line either server reads (asyncio's default, named).
+#: The longest request line the server reads.
 MAX_LINE_BYTES = 2 ** 16
 #: What they answer a longer one with before hanging up.
 OVERSIZE_LINE_RESPONSE = encode_line({

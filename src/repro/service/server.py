@@ -19,7 +19,9 @@ speaking the JSON-line protocol (``TCP_NODELAY``): one handler thread per
 connection reads requests; the dispatch thread resolving a flush writes
 its responses in one ``sendall`` per connection (a write lock keeps lines
 atomic), so responses may legally arrive out of request order — clients
-demultiplex by id.
+demultiplex by id.  The server asks only five methods of its core
+(``docs/service.md``), so the sharded tier's routing core
+(:class:`repro.shard.frontdoor.FrontDoor`) is served by the same loop.
 """
 
 from __future__ import annotations
@@ -114,6 +116,34 @@ class ReplySlot:
         return self._event.is_set()
 
 
+class Cork(threading.local):
+    """Holds one thread's connection writes so that they leave joined.
+
+    Inside ``with cork:`` every :meth:`deliver` on that thread is held;
+    on exit each connection gets one ``write`` of its joined payloads.
+    Outside any scope :meth:`deliver` writes at once.  The scope is the
+    unit one producer answers in: a flush on a dispatch thread, a
+    received chunk on a shard link's reader thread.
+    """
+
+    held: Optional[Dict[Callable[[bytes], None], List[bytes]]] = None
+
+    def __enter__(self) -> None:
+        self.held = {}
+
+    def __exit__(self, *_exc) -> None:
+        held, self.held = self.held, None
+        for write, payloads in held.items():
+            write(b"".join(payloads))
+
+    def deliver(self, write: Callable[[bytes], None], payload: bytes) -> None:
+        """``write(payload)`` now, or joined when this thread's scope ends."""
+        if self.held is None:
+            write(payload)
+        else:
+            self.held.setdefault(write, []).append(payload)
+
+
 class ServiceCore:
     """Transport-agnostic serving engine: batcher + pool + observability.
 
@@ -147,7 +177,7 @@ class ServiceCore:
             self.config, self._on_flush, clock=clock,
             slots=lambda kernel_id: len(pool.active_members(kernel_id)),
         )
-        self._cork = threading.local()
+        self._cork = Cork()
         workers = dispatchers if dispatchers is not None else len(pool.members)
         if workers < 1:
             raise ValueError(f"dispatchers must be >= 1, got {workers}")
@@ -279,24 +309,15 @@ class ServiceCore:
         self, kernel_id: int, entries: List[PendingEntry], trigger: str
     ) -> None:
         """Run one flush: its responses leave joined, then its slot is free."""
-        held = self._cork.held = {}  # what deliver() holds on this thread
         try:
-            try:
+            with self._cork:
                 self._execute(kernel_id, entries, trigger)
-            finally:
-                self._cork.held = None
-                for write, payloads in held.items():
-                    write(b"".join(payloads))
         finally:
             self.batcher.done(kernel_id)
 
     def deliver(self, write: Callable[[bytes], None], payload: bytes) -> None:
         """``write(payload)`` now, or joined when the resolving flush ends."""
-        held = getattr(self._cork, "held", None)
-        if held is None:
-            write(payload)
-        else:
-            held.setdefault(write, []).append(payload)
+        self._cork.deliver(write, payload)
 
     def _execute(
         self, kernel_id: int, entries: List[PendingEntry], trigger: str
@@ -385,6 +406,10 @@ class ServiceCore:
             snapshot["cache"] = cache.stats()
         return snapshot
 
+    def metrics_text(self) -> str:
+        """Plain-text rendering of :meth:`metrics_snapshot`."""
+        return render_text_snapshot(self.metrics_snapshot())
+
     def trace_snapshot(self) -> Dict:
         """Chrome trace JSON of whatever the recorder has captured.
 
@@ -439,7 +464,7 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
                     send(encode_line({
                         "type": "metrics_text",
                         "id": message.get("id"),
-                        "text": render_text_snapshot(core.metrics_snapshot()),
+                        "text": core.metrics_text(),
                     }))
                 elif kind == "trace":
                     send(encode_line({

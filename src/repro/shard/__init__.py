@@ -1,4 +1,4 @@
-"""Sharded async serving: an asyncio front door over worker processes.
+"""Sharded serving: a routing front door over worker processes.
 
 The single-process service (:mod:`repro.service`) tops out at one GIL:
 however fast the compiled backend aligns, one Python process can only
@@ -20,7 +20,8 @@ and route work between them:
   JSON-line server;
 * :mod:`repro.shard.manager`   — process lifecycle: spawn with a ready
   handshake, graceful drain via a control pipe, exit-code collection;
-* :mod:`repro.shard.frontdoor` — the asyncio front door: routes each
+* :mod:`repro.shard.frontdoor` — the front door, a routing core under
+  the same threaded JSON-line server the workers run: routes each
   request by fingerprint to a shard link, enforces reject-not-drop
   per-shard in-flight bounds, heartbeats every shard and evicts dead
   ones (remapping the ring), and aggregates per-shard metrics behind

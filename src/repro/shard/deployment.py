@@ -49,7 +49,6 @@ class Deployment:
     backend: str = DEFAULT_BACKEND
     cache_dir: Optional[str] = None
     cache_mem_mb: float = 64.0
-    pool_workers: int = 1
     params_by_kernel: Dict[int, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -144,7 +143,7 @@ class Deployment:
                     params=self.params_by_kernel.get(spec.kernel_id),
                     backend=self.backend,
                 ))
-        return DevicePool(runtimes, workers=self.pool_workers, cache=cache)
+        return DevicePool(runtimes, cache=cache)
 
     def build_core(self, cache: Any = None, recorder: Any = None):
         """A started-ready :class:`~repro.service.ServiceCore` (not started)."""

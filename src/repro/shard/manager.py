@@ -2,14 +2,13 @@
 
 The :class:`ShardManager` owns the worker *processes*; the front door
 owns their *connections*.  Separating the two keeps each side simple —
-the manager blocks on pipes and ``Process.join`` (plain threads-and-
-processes code), while the front door stays a pure asyncio program that
-only ever asks the manager for facts (ports, liveness) or actions
-(drain, kill) through small thread-safe calls.
+the manager blocks on pipes and ``Process.join``, while the front door
+only ever asks it for facts (ports, liveness) or actions (drain, kill)
+through small thread-safe calls.
 
 Spawning uses the ``spawn`` multiprocessing context by default: the
-parent runs an asyncio loop plus client threads, and forking a threaded
-process can deadlock the child on locks held mid-fork.  ``fork`` can be
+parent runs server, link-reader and heartbeat threads, and forking a
+threaded process can deadlock the child on locks held mid-fork.  ``fork`` can be
 requested (``mp_context="fork"``) when startup latency matters more
 than that hazard.
 """

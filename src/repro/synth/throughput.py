@@ -8,19 +8,16 @@ millions of alignments.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
-from repro.core.spec import EndRule, KernelSpec, StartRule
+from repro.core.spec import EndRule, KernelSpec
 from repro.systolic import engine as _engine
-from repro.systolic.schedule import count_cycles
+from repro.systolic import schedule as _schedule
 
 
 def reduction_cycles(spec: KernelSpec, n_pe: int) -> int:
     """Cycles of the cross-PE optimum reduction (0 for bottom-right)."""
-    if spec.start_rule is StartRule.BOTTOM_RIGHT:
-        return 0
-    return max(1, math.ceil(math.log2(max(2, n_pe)))) + 2
+    return _schedule.reduction_cycles(spec.start_rule, n_pe)
 
 
 def expected_traceback_length(spec: KernelSpec, query_len: int, ref_len: int) -> int:
@@ -53,22 +50,18 @@ def cycles_per_alignment(
     """Total block cycles for one alignment (matches the engine's report)."""
     if query_len < 1 or ref_len < 1:
         raise ValueError("sequence lengths must be >= 1")
-    compute, load = count_cycles(query_len, ref_len, n_pe, ii, spec.banding)
-    init = (ref_len + 1) + (query_len + 1)
     if tb_path_len is None:
         tb_path_len = expected_traceback_length(spec, query_len, ref_len)
-    traceback = (
-        tb_path_len + _engine.TRACEBACK_SETUP_CYCLES
-        if spec.has_traceback else 0
-    )
-    interface = (
-        _engine.INTERFACE_CYCLES_PER_BASE * (query_len + ref_len)
-        if model_interface else 0
-    )
-    return (
-        init + load + compute + reduction_cycles(spec, n_pe)
-        + traceback + interface
-    )
+    return _schedule.closed_form_cycles(
+        spec, query_len, ref_len, n_pe, ii,
+        traceback_cycles=(
+            tb_path_len + _engine.TRACEBACK_SETUP_CYCLES
+            if spec.has_traceback else 0
+        ),
+        interface_cycles_per_base=(
+            _engine.INTERFACE_CYCLES_PER_BASE if model_interface else 0
+        ),
+    ).total
 
 
 def throughput_alignments_per_sec(

@@ -304,10 +304,7 @@ def _simulate(
         init_cycles=(n_cols + 1) + (n_rows + 1),
         load_cycles=n_rows,
         compute_cycles=total_wavefronts * ii,
-        reduction_cycles=(
-            0 if spec.start_rule is StartRule.BOTTOM_RIGHT
-            else tracker.reduction_cycles()
-        ),
+        reduction_cycles=tracker.reduction_cycles(),
         traceback_cycles=traceback_cycles,
         interface_cycles=(
             INTERFACE_CYCLES_PER_BASE * (n_rows + n_cols)

@@ -12,10 +12,12 @@ bounds of banded RTL designs such as BSW).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.spec import band_contains
+from repro.core.result import CycleReport
+from repro.core.spec import KernelSpec, StartRule, band_contains
 
 
 @dataclass(frozen=True)
@@ -119,3 +121,34 @@ def count_cycles(
     which DP-HLS does not overlap with computation — Section 7.3).
     """
     return count_wavefronts(n_rows, n_cols, n_pe, banding) * ii, n_rows
+
+
+def reduction_cycles(start_rule: StartRule, n_pe: int) -> int:
+    """Cycles of the log-depth cross-PE optimum reduction (Section 5.2);
+    a bottom-right start reads one known cell and reduces nothing."""
+    if start_rule is StartRule.BOTTOM_RIGHT:
+        return 0
+    return max(1, math.ceil(math.log2(max(2, n_pe)))) + 2
+
+
+def closed_form_cycles(
+    spec: KernelSpec, n_rows: int, n_cols: int, n_pe: int, ii: int,
+    traceback_cycles: int, interface_cycles_per_base: int,
+) -> CycleReport:
+    """The :class:`CycleReport` the engine accumulates, without running it.
+
+    The traceback walk is the one stage with no closed form: the caller
+    passes its measured (or expected) cycles.  ``tests/test_cycles.py``
+    pins the rest to the engine's own accounting.
+    """
+    wavefronts = count_wavefronts(n_rows, n_cols, n_pe, spec.banding)
+    return CycleReport(
+        init_cycles=(n_cols + 1) + (n_rows + 1),
+        load_cycles=n_rows,
+        compute_cycles=wavefronts * ii,
+        reduction_cycles=reduction_cycles(spec.start_rule, n_pe),
+        traceback_cycles=traceback_cycles,
+        interface_cycles=interface_cycles_per_base * (n_rows + n_cols),
+        wavefronts=wavefronts,
+        ii=ii,
+    )

@@ -14,13 +14,13 @@ matrix-boundary moves along row 0 / column 0.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.result import Alignment, Move
 from repro.core.spec import EndRule, KernelSpec, StartRule, TBTransition
+from repro.systolic.schedule import reduction_cycles
 from repro.systolic.tb_memory import TracebackMemory
 
 
@@ -83,9 +83,7 @@ class BestCellTracker:
 
     def reduction_cycles(self) -> int:
         """Cycles of the log-depth maximum reduction (Section 5.2)."""
-        if self._rule is StartRule.BOTTOM_RIGHT:
-            return 0
-        return max(1, math.ceil(math.log2(max(2, self.n_pe)))) + 2
+        return reduction_cycles(self._rule, self.n_pe)
 
 
 #: What a byte of a table or a walked path reads as, and the byte where the

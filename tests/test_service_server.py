@@ -26,7 +26,11 @@ from repro.service import (
     ServiceCore,
     Status,
 )
-from repro.service.protocol import MAX_LINE_BYTES, response_from_result
+from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    AlignRequest,
+    response_from_result,
+)
 from tests.conftest import mutated_copy, random_dna
 
 KERNEL_IDS = (1, 3)
@@ -280,6 +284,130 @@ class TestWire:
             assert json.loads(wire.readline())["status"] == "error"
             connection, = served.accepted
             assert len(connection.sendalls) == 1
+
+
+class TestClientAsALink:
+    """What a relaying caller (the shard front door) reads off a client."""
+
+    def test_in_flight_tracks_submit_and_answer(self):
+        pool = DevicePool([DeviceRuntime(get_kernel(1), small_config())])
+        core = ServiceCore(pool, BatcherConfig(max_batch=64)).start()
+        server = AlignmentServer(("127.0.0.1", 0), core)
+        server.serve_in_thread()
+        client = AlignmentClient(*server.server_address)
+        try:
+            assert client.in_flight == 0
+            with core.pool.members[0].exclusive:  # nothing can be answered
+                slots = [
+                    client.submit(1, query, reference)
+                    for _kid, query, reference in make_workload(5)
+                ]
+                assert client.in_flight == 5
+                assert client.ping()  # control traffic is not in flight
+                assert client.in_flight == 5
+            assert all(slot.result(timeout=60.0).ok for slot in slots)
+            assert client.in_flight == 0
+        finally:
+            client.close()
+            server.close()
+
+    def test_on_close_fires_once_when_the_server_hangs_up(self):
+        reasons = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = AlignmentClient(
+                *listener.getsockname(), on_close=reasons.append
+            )
+            accepted, _peer = listener.accept()
+            slot = client.submit(1, (0, 1), (0, 1))
+            accepted.close()
+            answer = slot.result(timeout=30.0)  # failed, never dropped
+            assert answer.status is Status.ERROR
+            client._reader.join(timeout=30.0)
+            assert not client._reader.is_alive()
+            client.close()  # a second, local close is not a second event
+        assert reasons == [answer.error]
+
+    def test_on_close_fires_once_on_a_local_close(self, served_core):
+        server = AlignmentServer(("127.0.0.1", 0), served_core)
+        server.serve_in_thread()
+        reasons = []
+        client = AlignmentClient(
+            *server.server_address, on_close=reasons.append
+        )
+        try:
+            assert client.ping()
+            assert reasons == []
+            client.close()
+            client._reader.join(timeout=30.0)  # its own close() comes second
+            assert not client._reader.is_alive()
+            client.close()
+            assert len(reasons) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_alone_a_line_is_written_at_once_and_owed_ones_leave_joined(self):
+        class Counting:
+            """The client's socket, remembering each ``sendall``."""
+
+            def __init__(self, sock):
+                self.sock, self.sendalls = sock, []
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+            def sendall(self, payload):
+                self.sendalls.append(payload)
+                self.sock.sendall(payload)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = AlignmentClient(*listener.getsockname())
+            wire = client._sock = Counting(client._sock)
+            accepted, _peer = listener.accept()
+            with accepted:
+                first = client.submit(1, (0, 1), (1, 0), request_id="r0")
+                assert [w.count(b"\n") for w in wire.sendalls] == [1]
+                with client._write_lock:  # the writer runs, and has to wait
+                    slots = [first] + [
+                        client.submit(1, (0, 1), (1, 0), request_id=f"r{n}")
+                        for n in range(1, 200)
+                    ]
+                    assert len(wire.sendalls) == 1
+                peer = accepted.makefile("rb")
+                ids = [json.loads(peer.readline())["id"] for _ in slots]
+                assert ids == [f"r{n}" for n in range(200)]
+                # what it had taken before it waited, then all the rest
+                assert len(wire.sendalls) <= 3
+                client.close()
+                assert peer.readline() == b""
+            assert all(slot.done for slot in slots)
+            late = client.submit(1, (0, 1), (1, 0))  # after fail_pending() ran
+            assert late.result(timeout=5.0).status is Status.ERROR
+            assert client.in_flight == 0
+            with pytest.raises(OSError):
+                client.ping()
+            writers = [
+                thread for thread in threading.enumerate()
+                if thread.name == "alignment-client-writer"
+            ]
+            for thread in writers:
+                thread.join(timeout=5.0)
+            assert not any(thread.is_alive() for thread in writers)
+
+    def test_an_answer_carries_the_request_id_not_the_wire_id(self, served_core):
+        server = AlignmentServer(("127.0.0.1", 0), served_core)
+        server.serve_in_thread()
+        client = AlignmentClient(*server.server_address)
+        try:
+            _kid, query, reference = make_workload(1)[0]
+            request = AlignRequest("caller-7", 1, tuple(query), tuple(reference))
+            answer = client.send(request, wire_id="relay-0").result(30.0)
+            assert answer.ok and answer.request_id == "caller-7"
+            assert client.in_flight == 0
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
 
 
 class TestHostileWire:

@@ -129,8 +129,8 @@ class TestShardTransparency:
         assert client.ping()
 
     def test_oversize_line_gets_an_error_and_the_door_stays_open(self, sharded):
-        # asyncio's readline raises ValueError past the stream limit; it used
-        # to escape _handle_client and kill the task with no protocol answer
+        # the door reads lines with the single-process server's loop, so an
+        # oversize one gets that server's answer before the hang-up
         with socket.create_connection(sharded.address, timeout=30) as hostile:
             hostile.sendall(b"x" * (70 * 1024) + b"\n")
             answer = json.loads(hostile.makefile("rb").readline())
