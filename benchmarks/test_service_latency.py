@@ -32,7 +32,7 @@ from repro.service import (
     ServiceCore,
     Status,
 )
-from repro.service.client import exact_percentile
+from repro.service.loadgen import exact_percentile
 from repro.shard import Deployment, ShardServer
 from repro.synth import LaunchConfig
 

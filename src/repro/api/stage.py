@@ -86,15 +86,6 @@ class FnStage(Stage):
         return self._fn(chunk)
 
 
-def _percentile(samples: Sequence[float], q: float) -> float:
-    """Exact nearest-rank percentile of a sample list (0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
-
-
 @dataclass
 class StageStats:
     """Observed behaviour of one stage across a pipeline run."""
@@ -107,13 +98,18 @@ class StageStats:
 
     @property
     def queue_p50_ms(self) -> float:
-        """Median time a chunk sat in this stage's input queue."""
-        return _percentile(self.queue_ms, 0.50)
+        """Median time a chunk sat in this stage's input queue (0 if none)."""
+        # imported on use: ``import repro`` must not load repro.service
+        from repro.service.loadgen import exact_percentile
+
+        return exact_percentile(self.queue_ms, 0.50) if self.queue_ms else 0.0
 
     @property
     def queue_p95_ms(self) -> float:
-        """95th-percentile input-queue time."""
-        return _percentile(self.queue_ms, 0.95)
+        """95th-percentile input-queue time (0 if none)."""
+        from repro.service.loadgen import exact_percentile
+
+        return exact_percentile(self.queue_ms, 0.95) if self.queue_ms else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe summary (sample list reduced to percentiles)."""

@@ -15,7 +15,7 @@ a blown SLO under a step load.  See ``docs/autoscale.md``.
 
 from repro.autoscale.actuator import Action, Actuator, default_runtime_factory
 from repro.autoscale.controller import AutoscaleController, Decision
-from repro.autoscale.demo import build_workload, run_autoscale_demo
+from repro.autoscale.demo import run_autoscale_demo
 from repro.autoscale.planner import KernelPlan, Plan, PlanInfeasible, Planner
 from repro.autoscale.policy import SloPolicy
 from repro.autoscale.signals import (
@@ -39,7 +39,6 @@ __all__ = [
     "PlanInfeasible",
     "Planner",
     "SloPolicy",
-    "build_workload",
     "default_runtime_factory",
     "flatten_snapshot",
     "quantile_from_buckets",

@@ -24,7 +24,7 @@ which also demonstrates what rehearsal mode is for.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.autoscale.actuator import Actuator, default_runtime_factory
 from repro.autoscale.controller import AutoscaleController
@@ -35,36 +35,12 @@ from repro.backend import DEFAULT_BACKEND
 from repro.kernels import get_kernel
 from repro.obs.recorder import use_recorder
 from repro.service.batcher import BatcherConfig
-from repro.service.client import InProcClient, LoadGenerator, LoadProfile
+from repro.service.client import InProcClient
+from repro.service.loadgen import LoadGenerator, LoadProfile, random_workload
 from repro.service.pool import DevicePool
 from repro.service.server import ServiceCore
 
-__all__ = ["build_workload", "run_autoscale_demo"]
-
-
-def build_workload(
-    kernels: Sequence[int],
-    pairs_per_kernel: int = 32,
-    length: int = 48,
-    seed: int = 1234,
-) -> list:
-    """Random (kernel_id, query, reference) tuples over each alphabet."""
-    import random
-
-    rng = random.Random(seed)
-    workload = []
-    for kernel_id in kernels:
-        spec = get_kernel(kernel_id)
-        cardinality = spec.alphabet.size or 64
-        for _ in range(pairs_per_kernel):
-            query = tuple(
-                rng.randrange(cardinality) for _ in range(length)
-            )
-            reference = tuple(
-                rng.randrange(cardinality) for _ in range(length)
-            )
-            workload.append((kernel_id, query, reference))
-    return workload
+__all__ = ["run_autoscale_demo"]
 
 
 def run_autoscale_demo(
@@ -117,8 +93,9 @@ def run_autoscale_demo(
         max_actions_per_window=max(8, 2 * max_replicas * len(kernels)),
     )
     planner = Planner(policy, max_query_len=length, max_ref_len=length)
-    calibration = build_workload(
-        kernels, pairs_per_kernel=max_batch, length=length, seed=seed + 2
+    specs = [get_kernel(kernel_id) for kernel_id in kernels]
+    calibration = random_workload(
+        specs, pairs=max_batch, length=length, seed=seed + 2
     )
 
     paces: Dict[int, float] = {}
@@ -168,7 +145,7 @@ def run_autoscale_demo(
     controller = AutoscaleController(watcher, planner, actuator)
 
     replicas_initial = dict(pool.replica_counts())
-    workload = build_workload(kernels, length=length, seed=seed + 1)
+    workload = random_workload(specs, pairs=32, length=length, seed=seed + 1)
 
     with use_recorder(core.recorder):
         with core:

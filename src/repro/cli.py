@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import sys
 import threading
 from typing import List, Optional
@@ -186,25 +187,6 @@ def cmd_fuzz(args) -> int:
     print(report.summary())
     print(f"elapsed: {report.elapsed_s:.1f}s")
     return 0 if report.passed else 1
-
-
-def _service_workload(kernels, args):
-    """Random (kernel_id, query, reference) tuples: ``--pairs`` per
-    kernel, ``--length`` symbols each, drawn from ``--seed``."""
-    import random
-
-    rng = random.Random(args.seed)
-    workload = []
-    for spec in kernels:
-        cardinality = spec.alphabet.size or 64
-        for _ in range(args.pairs):
-            workload.append((
-                spec.kernel_id,
-                tuple(rng.randrange(cardinality) for _ in range(args.length)),
-                tuple(rng.randrange(cardinality) for _ in range(args.length)),
-            ))
-    rng.shuffle(workload)
-    return workload
 
 
 def _serve_in_proc(core, workload):
@@ -365,11 +347,9 @@ def cmd_loadgen(args) -> int:
     """
     import json as json_module
 
-    from repro.service import (
-        InProcClient,
-        LoadGenerator,
-        RetryPolicy,
-        connect_with_retry,
+    from repro.service import InProcClient, RetryPolicy, connect_with_retry
+    from repro.service.loadgen import (
+        LoadGenerator, LoadProfile, random_workload,
     )
 
     _validate_loadgen_sources(args)
@@ -389,7 +369,7 @@ def cmd_loadgen(args) -> int:
         args.pairs = 16 if args.pairs is None else args.pairs
         args.length = 24 if args.length is None else args.length
         kernels = [_kernel_arg(k) for k in (args.kernel or ["1"])]
-        workload = _service_workload(kernels, args)
+        workload = random_workload(kernels, args.pairs, args.length, args.seed)
     args.concurrency = 1 if args.concurrency is None else args.concurrency
     core = None
     if args.in_proc:
@@ -412,22 +392,17 @@ def cmd_loadgen(args) -> int:
             failures += report.errors
             print(report.summary())
         else:
-            profile = None
-            if args.profile is not None:
-                from repro.service import LoadProfile
-
-                profile = LoadProfile.parse(args.profile)
+            profile = (
+                None if args.profile is None
+                else LoadProfile.parse(args.profile)
+            )
             for rate in args.rate or [100.0]:
-                if args.duration is not None:
-                    report = generator.run(
-                        rate, duration_s=args.duration,
-                        deadline_ms=args.deadline_ms, profile=profile,
-                    )
-                else:
-                    report = generator.run_concurrent(
-                        rate, args.requests, args.concurrency,
-                        deadline_ms=args.deadline_ms, profile=profile,
-                    )
+                report = generator.run(
+                    rate,
+                    None if args.duration is not None else args.requests,
+                    deadline_ms=args.deadline_ms, duration_s=args.duration,
+                    profile=profile, concurrency=args.concurrency,
+                )
                 failures += report.errors
                 print(report.summary())
         snapshot = client.metrics()
@@ -602,14 +577,15 @@ def cmd_trace(args) -> int:
     or https://ui.perfetto.dev.
     """
     from repro.obs import TraceRecorder, use_recorder, write_chrome_trace
+    from repro.service.loadgen import random_workload
 
     deployment = _deployment_from_args(args)
     recorder = TraceRecorder()
     with use_recorder(recorder):
         core = deployment.build_core(recorder=recorder)
-        responses = _serve_in_proc(
-            core, _service_workload(deployment.specs(), args)
-        )
+        responses = _serve_in_proc(core, random_workload(
+            deployment.specs(), args.pairs, args.length, args.seed
+        ))
     write_chrome_trace(recorder, args.out)
     categories = sorted({
         event.category for event in recorder.events() if event.kind == "span"
@@ -654,10 +630,14 @@ def cmd_cache(args) -> int:
     # the same command twice (even across process restarts) must produce
     # a byte-identical response digest with a nonzero hit count on the
     # second pass — the smoke-cache CI job pins exactly that.
+    from repro.service.loadgen import random_workload
+
     deployment = _deployment_from_args(args)  # --dir is its cache_dir
     stack = deployment.build_cache()
     core = deployment.build_core(cache=stack)
-    workload = _service_workload(deployment.specs(), args)
+    workload = random_workload(
+        deployment.specs(), args.pairs, args.length, args.seed
+    )
     try:
         responses = _serve_in_proc(core, workload)
     finally:
@@ -699,45 +679,23 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+#: ``repro <name>`` regenerates one of the paper's tables/figures: the
+#: ``render()`` of this :mod:`repro.experiments` module (``fig3`` takes
+#: its kernel id).  :func:`build_parser` declares them in this order.
+EXPERIMENTS = {
+    "table1": "table1", "table2": "table2", "fig4": "fig4", "fig5": "fig5",
+    "fig6": "fig6", "hls": "hls_cmp", "tiling": "tiling_exp",
+    "all": "summary", "fig3": "fig3",
+}
+
+
 def cmd_experiment(args) -> int:
     """Regenerate one of the paper's tables/figures."""
-    name = args.command
-    if name == "table2":
-        from repro.experiments import table2
-
-        print(table2.render())
-    elif name == "fig3":
-        from repro.experiments import fig3
-
-        print(fig3.render(args.kernel_id))
-    elif name == "fig4":
-        from repro.experiments import fig4
-
-        print(fig4.render())
-    elif name == "fig5":
-        from repro.experiments import fig5
-
-        print(fig5.render())
-    elif name == "fig6":
-        from repro.experiments import fig6
-
-        print(fig6.render())
-    elif name == "hls":
-        from repro.experiments import hls_cmp
-
-        print(hls_cmp.render())
-    elif name == "tiling":
-        from repro.experiments import tiling_exp
-
-        print(tiling_exp.render())
-    elif name == "table1":
-        from repro.experiments import table1
-
-        print(table1.render())
-    elif name == "all":
-        from repro.experiments.summary import reproduce_all
-
-        print(reproduce_all().render())
+    module = importlib.import_module(
+        f"repro.experiments.{EXPERIMENTS[args.command]}"
+    )
+    print(module.render(args.kernel_id) if args.command == "fig3"
+          else module.render())
     return 0
 
 
@@ -887,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "between t0 and t1 (default constant)")
     p.add_argument("--duration", type=float, default=None,
                    help="bound the run by wall time (seconds) instead "
-                        "of --requests; forces a single firing thread")
+                        "of --requests; every firing thread runs for it")
     p.add_argument("--connect-retries", type=int, default=5,
                    help="connection attempts (exponential backoff) while "
                         "the service comes up")
@@ -1027,11 +985,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("reference")
 
-    for exp in ("table1", "table2", "fig4", "fig5", "fig6", "hls", "tiling",
-                "all"):
-        sub.add_parser(exp, help=f"regenerate {exp}")
-    p = sub.add_parser("fig3", help="regenerate fig3 for one kernel")
-    p.add_argument("kernel_id", type=int, choices=(1, 9))
+    for name in EXPERIMENTS:
+        if name == "fig3":
+            p = sub.add_parser(name, help="regenerate fig3 for one kernel")
+            p.add_argument("kernel_id", type=int, choices=(1, 9))
+        else:
+            sub.add_parser(name, help=f"regenerate {name}")
 
     return parser
 
@@ -1039,26 +998,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "list": cmd_list,
-        "info": cmd_info,
-        "align": cmd_align,
-        "synth": cmd_synth,
-        "rtl": cmd_rtl,
-        "verify": cmd_verify,
-        "occupancy": cmd_occupancy,
-        "campaign": cmd_campaign,
-        "fuzz": cmd_fuzz,
-        "matrix": cmd_matrix,
-        "serve": cmd_serve,
-        "loadgen": cmd_loadgen,
-        "autoscale": cmd_autoscale,
-        "map": cmd_map,
-        "trace": cmd_trace,
-        "cache": cmd_cache,
-    }
-    handler = handlers.get(args.command, cmd_experiment)
-    return handler(args)
+    if args.command in EXPERIMENTS:
+        return cmd_experiment(args)
+    return globals()[f"cmd_{args.command}"](args)  # repro X runs cmd_X
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -57,3 +57,8 @@ def reproduce_all(include_tiling: bool = True) -> ReproductionSummary:
             tiling_exp.run_tiling(n_reads=1, read_length=800)
         )
     return ReproductionSummary(sections=sections)
+
+
+def render() -> str:
+    """The combined report of every table and figure (``repro all``)."""
+    return reproduce_all().render()

@@ -24,7 +24,7 @@ def read_trace(path: PathLike) -> List[TraceEntry]:
     """Load a tile trace as a loadgen workload, preserving order.
 
     Returns ``(kernel_id, query, reference)`` triples — the workload
-    shape :class:`repro.service.client.LoadGenerator` consumes.  Raises
+    shape :class:`repro.service.loadgen.LoadGenerator` consumes.  Raises
     ``ValueError`` on malformed lines so a truncated trace fails loudly
     rather than replaying a prefix.
     """

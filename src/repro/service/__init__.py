@@ -15,8 +15,10 @@ design (Section 4, step 6) one level up:
   routing;
 * :mod:`repro.service.server`   — the serving core and a threaded TCP
   front end;
-* :mod:`repro.service.client`   — TCP/in-proc clients and an open-loop
-  Poisson load generator.
+* :mod:`repro.service.client`   — the TCP and in-process clients;
+* :mod:`repro.service.loadgen`  — the load generator that drives
+  them: one open-loop Poisson firing loop, closed-loop trace replay,
+  and one report of completion-stamped latency samples.
 
 Counters, histograms and (optionally) spans are reported through
 :mod:`repro.obs` — the core's default recorder keeps the always-on
@@ -37,12 +39,10 @@ from repro.service.client import (
     AlignmentClient,
     ConnectError,
     InProcClient,
-    LoadGenerator,
-    LoadProfile,
-    LoadReport,
     RetryPolicy,
     connect_with_retry,
 )
+from repro.service.loadgen import LoadGenerator, LoadProfile, LoadReport
 from repro.service.pool import DevicePool
 from repro.service.protocol import (
     AlignRequest,

@@ -1,5 +1,8 @@
 """Tests for shifting-load profiles and duration-bounded load runs."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.host import DeviceRuntime
@@ -69,7 +72,7 @@ class TestWindowPercentiles:
     def test_window_selects_completions(self):
         report = LoadReport(
             offered_rps=1.0, sent=4, ok=4, rejected=0, errors=0,
-            elapsed_s=4.0, latencies_ms=[10.0, 20.0, 30.0, 40.0],
+            elapsed_s=4.0,
             samples=[(0.5, 10.0), (1.5, 20.0), (2.5, 30.0), (3.5, 40.0)],
         )
         assert report.window_latencies_ms(1.0, 3.0) == [20.0, 30.0]
@@ -80,11 +83,11 @@ class TestWindowPercentiles:
     def test_merge_pools_samples(self):
         a = LoadReport(
             offered_rps=1.0, sent=1, ok=1, rejected=0, errors=0,
-            elapsed_s=1.0, latencies_ms=[5.0], samples=[(0.9, 5.0)],
+            elapsed_s=1.0, samples=[(0.9, 5.0)],
         )
         b = LoadReport(
             offered_rps=1.0, sent=1, ok=1, rejected=0, errors=0,
-            elapsed_s=1.0, latencies_ms=[7.0], samples=[(0.1, 7.0)],
+            elapsed_s=1.0, samples=[(0.1, 7.0)],
         )
         merged = LoadReport.merge([a, b])
         assert merged.samples == [(0.1, 7.0), (0.9, 5.0)]
@@ -132,8 +135,53 @@ class TestDurationAndProfileRuns:
         generator = LoadGenerator(InProcClient(core), make_workload(8),
                                   seed=5)
         profile = LoadProfile.parse("step:0.2:4")
-        report = generator.run_concurrent(
+        report = generator.run(
             100.0, n_requests=60, concurrency=2, profile=profile
         )
         assert report.sent == 60
         assert len(report.samples) == report.ok
+
+    def test_duration_composes_with_concurrency(self, core):
+        # Every firing thread runs for the whole duration; none raises
+        # for want of a request count.
+        generator = LoadGenerator(InProcClient(core), make_workload(8),
+                                  seed=9)
+        one = generator.run(200.0, duration_s=0.4)
+        both = generator.run(200.0, duration_s=0.4, concurrency=2)
+        assert both.offered_rps == one.offered_rps == 200.0
+        assert both.sent > 0 and both.ok == both.sent
+        assert both.errors == 0
+        assert len(both.samples) == both.ok
+        assert all(offset >= 0.0 for offset, _ in both.samples)
+
+    def test_concurrent_threads_fire_in_parallel(self, core):
+        # More firing threads than cores, switching often: every request
+        # of the split count is fired once, by its own thread, and tallied.
+        fired = []
+        client = InProcClient(core)
+        submit = client.submit
+
+        def tagged(*args, **kwargs):
+            slot = submit(*args, **kwargs)
+            fired.append((threading.current_thread().name,
+                          slot.request.request_id))
+            return slot
+
+        client.submit = tagged
+        generator = LoadGenerator(client, make_workload(8), seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = generator.run(400.0, n_requests=41, concurrency=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.sent == report.ok == len(report.samples) == 41
+        assert len({request_id for _, request_id in fired}) == 41
+        assert len({name for name, _ in fired}) == 4
+
+    def test_replay_stamps_completion_samples(self, core):
+        generator = LoadGenerator(InProcClient(core), make_workload(8))
+        report = generator.replay(window=3)
+        assert report.sent == report.ok == 8
+        assert len(report.samples) == report.ok
+        assert report.window_percentile_ms(0.0, 60.0, 0.99) is not None

@@ -3,8 +3,8 @@
 A hung server must fail outstanding requests after the read timeout
 (while an idle connection survives indefinitely); a server that is
 still coming up must be reachable through the bounded backoff of
-:func:`connect_with_retry`; and the concurrent load generator's merged
-reports must conserve every count.
+:func:`connect_with_retry`; and merged load reports must conserve
+every count.
 """
 
 import socket
@@ -163,9 +163,10 @@ class TestLoadReportMerge:
 
     def test_merge_sums_counts_and_pools_latencies(self):
         a = LoadReport(offered_rps=50.0, sent=10, ok=8, rejected=1,
-                       errors=1, elapsed_s=2.0, latencies_ms=[1.0, 2.0])
+                       errors=1, elapsed_s=2.0,
+                       samples=[(0.5, 1.0), (1.5, 2.0)])
         b = LoadReport(offered_rps=50.0, sent=10, ok=10, rejected=0,
-                       errors=0, elapsed_s=3.0, latencies_ms=[3.0])
+                       errors=0, elapsed_s=3.0, samples=[(1.0, 3.0)])
         merged = LoadReport.merge([a, b])
         assert merged.offered_rps == 100.0
         assert merged.sent == 20 and merged.ok == 18
