@@ -26,7 +26,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-model comparison of every table and figure.
 """
 
-from repro.api import Pipeline, RunOptions, Stage, map_flowcell, serve
+from repro.api import Pipeline, Stage, map_flowcell, serve
 from repro.core import (
     Alignment,
     AlignmentResult,
@@ -40,7 +40,7 @@ from repro.core import (
     TracebackSpec,
 )
 from repro.kernels import KERNELS, get_kernel, is_registered, kernel_ids, list_kernels
-from repro.parallel import BatchResult, ParallelExecutor, WorkError, run_batch
+from repro.parallel import BatchResult, ParallelExecutor, WorkError
 from repro.reference import oracle_align
 from repro.synth import LaunchConfig, SynthesisReport, synthesize
 from repro.systolic import align
@@ -57,9 +57,7 @@ __all__ = [
     "tiled_align",
     "Stage",
     "Pipeline",
-    "RunOptions",
     "ParallelExecutor",
-    "run_batch",
     "BatchResult",
     "WorkError",
     "get_kernel",

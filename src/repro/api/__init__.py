@@ -7,8 +7,6 @@
   drain semantics); see :mod:`repro.api.stage`.
 * :func:`align` — one-shot functional alignment (re-exported from
   :mod:`repro.systolic`).
-* :class:`RunOptions` — the documented knob set of
-  :meth:`repro.host.runtime.DeviceRuntime.run`.
 * :func:`serve` — start an alignment service (in-process TCP server or
   the sharded front door) from a :class:`repro.shard.Deployment`.
 * :func:`map_flowcell` — the streaming read-mapping pipeline
@@ -31,7 +29,6 @@ from repro.api.stage import (
     Stage,
     StageStats,
 )
-from repro.host.runtime import RunOptions
 from repro.pipeline.flow import MapReport, map_flowcell
 from repro.systolic import align
 
@@ -103,7 +100,6 @@ __all__ = [
     "PipelineError",
     "PipelineReport",
     "StageStats",
-    "RunOptions",
     "ServiceHandle",
     "MapReport",
     "align",

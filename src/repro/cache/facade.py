@@ -14,10 +14,9 @@ stack's own stats.
 to callers: it wraps a :class:`~repro.host.runtime.DeviceRuntime`,
 exposes the same ``run`` batch API, and serves each pair from the
 tiers when possible — only the misses reach the wrapped runtime (as
-one *deduped* batch, so host-side parallelism still applies and the
-compiled backend's whole-batch lockstep sweep covers every distinct
-miss in one call), and concurrent identical pairs across threads
-coalesce onto one engine execution.
+one *deduped* batch, so the compiled backend's whole-batch lockstep
+sweep covers every distinct miss in one call), and concurrent identical
+pairs across threads coalesce onto one engine execution.
 Its outcome is a :class:`CachedBatchOutcome` carrying the per-pair
 fingerprints and hit flags the serving layer forwards to clients.
 
@@ -38,7 +37,7 @@ from repro.cache.fingerprint import pair_fingerprint, runtime_fingerprint
 from repro.cache.memory import MemoryCache
 from repro.cache.singleflight import SingleFlight
 from repro.core.result import Alignment, AlignmentResult, CycleReport, Move
-from repro.host.runtime import BatchOutcome, DeviceRuntime, RunOptions
+from repro.host.runtime import BatchOutcome, DeviceRuntime
 from repro.obs.recorder import get_recorder
 from repro.parallel import WorkError
 
@@ -181,9 +180,7 @@ class CacheStack:
         """Write a computed result through to both tiers."""
         recorder = get_recorder()
         payload = encode_result(result)
-        before = self.memory.stats().evictions
-        self.memory.put(key, result, len(payload))
-        evicted = self.memory.stats().evictions - before
+        evicted = self.memory.put(key, result, len(payload))
         if evicted:
             recorder.count("cache.evictions", evicted)
         if self.disk is not None:
@@ -266,8 +263,8 @@ class CachedRuntime:
     """Drop-in :class:`DeviceRuntime` decorator serving from a cache stack.
 
     The wrapped runtime only sees the *misses* of each batch — deduped,
-    as a single inner batch, so the scheduler model and host-side
-    parallelism behave exactly as for an uncached runtime of that batch.
+    as a single inner batch, so the scheduler model behaves exactly as
+    for an uncached runtime of that batch.
     The modelled schedule therefore covers only the pairs the device
     actually ran: a fully warm batch reports a zero-cycle schedule, which
     is the honest account of a device that did no work.
@@ -324,24 +321,16 @@ class CachedRuntime:
     # -- the batch entry point ----------------------------------------
 
     def run(
-        self,
-        pairs: Sequence[Tuple[Sequence[Any], Sequence[Any]]],
-        options: Optional[RunOptions] = None,
+        self, pairs: Sequence[Tuple[Sequence[Any], Sequence[Any]]]
     ) -> CachedBatchOutcome:
         """Align a batch, serving every known pair from the cache tiers.
 
         Semantics match :meth:`DeviceRuntime.run` — index-aligned
-        results, per-pair failures isolated in ``errors``, knobs in
-        ``options`` — with two additions: ``fingerprints``/``cached``
-        attribution on the outcome, and cross-thread single-flight (an
-        identical pair being computed by another thread is awaited,
-        not recomputed).
+        results, per-pair failures isolated in ``errors`` — with two
+        additions: ``fingerprints``/``cached`` attribution on the
+        outcome, and cross-thread single-flight (an identical pair being
+        computed by another thread is awaited, not recomputed).
         """
-        opts = RunOptions() if options is None else options
-        if not isinstance(opts, RunOptions):
-            raise TypeError(
-                f"options must be a RunOptions, got {type(opts).__name__}"
-            )
         recorder = get_recorder()
         pairs = list(pairs)
         n = len(pairs)
@@ -373,12 +362,11 @@ class CachedRuntime:
                 )
             lead_keys = list(lead)
             lead_pairs = [pairs[pending[key][0]] for key in lead_keys]
-            inner = self._run_lead(lead_keys, lead_pairs, opts)
+            inner = self._run_lead(lead_keys, lead_pairs)
             self._settle(lead, lead_keys, inner, pending, results, cached,
                          errors)
             for key, flight in follow.items():
-                self._await(flight, pending[key], results, cached, errors,
-                            opts.timeout)
+                self._await(flight, pending[key], results, cached, errors)
             if recorder.enabled:
                 recorder.count("cache.pairs", n)
         outcome = inner["outcome"]
@@ -397,7 +385,6 @@ class CachedRuntime:
         self,
         lead_keys: List[str],
         lead_pairs: List[Tuple[Sequence[Any], Sequence[Any]]],
-        opts: RunOptions,
     ) -> Dict[str, Any]:
         """Run the deduped miss set as one inner batch.
 
@@ -407,7 +394,7 @@ class CachedRuntime:
         may hang).
         """
         try:
-            outcome = self.runtime.run(lead_pairs, options=opts)
+            outcome = self.runtime.run(lead_pairs)
         except BaseException as exc:
             failure = CacheComputeError(type(exc).__name__, str(exc))
             return {"outcome": None, "errors": {
@@ -466,12 +453,10 @@ class CachedRuntime:
         results: List[Optional[AlignmentResult]],
         cached: List[bool],
         errors: List[WorkError],
-        timeout: Optional[float],
     ) -> None:
         """Wait on another thread's flight for the given batch indices."""
-        wait_s = None if timeout is None else max(timeout * 4.0, 60.0)
         try:
-            value = self.stack.flights.wait(flight, timeout=wait_s)
+            value = self.stack.flights.wait(flight)
         except CacheComputeError as exc:
             for index in indices:
                 errors.append(WorkError(

@@ -83,33 +83,37 @@ class MemoryCache:
             self._hits += 1
             return entry[0]
 
-    def put(self, key: str, value: Any, nbytes: int) -> bool:
+    def put(self, key: str, value: Any, nbytes: int) -> int:
         """Insert ``value`` charged at ``nbytes``; evict LRU as needed.
 
         An entry larger than the whole budget is rejected (and counted)
         rather than flushing the entire cache for one unstorable value.
         Re-putting an existing key replaces its value and charge and
-        refreshes recency.  Returns whether the entry was stored.
+        refreshes recency.  Returns the number of entries *this* call
+        evicted (0 for a rejection), counted under the lock so callers
+        on other threads never see each other's evictions.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         with self._lock:
             if nbytes > self.max_bytes:
                 self._oversize += 1
-                return False
+                return 0
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
             self._entries[key] = (value, nbytes)
             self._bytes += nbytes
             self._puts += 1
+            evicted = 0
             while self._bytes > self.max_bytes:
                 _evicted_key, (_value, charged) = self._entries.popitem(
                     last=False
                 )
                 self._bytes -= charged
-                self._evictions += 1
-            return True
+                evicted += 1
+            self._evictions += evicted
+            return evicted
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` if present; returns whether it existed."""

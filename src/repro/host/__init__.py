@@ -7,7 +7,7 @@ The paper's host is an OpenCL program that batches sequence pairs, feeds
 utilization and batch makespan can be studied without real hardware.
 """
 
-from repro.host.runtime import BatchOutcome, DeviceRuntime, RunOptions
+from repro.host.runtime import BatchOutcome, DeviceRuntime
 from repro.host.scheduler import AlignmentBatch, HostScheduler, ScheduleResult
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "ScheduleResult",
     "DeviceRuntime",
     "BatchOutcome",
-    "RunOptions",
 ]

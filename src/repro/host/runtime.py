@@ -6,24 +6,19 @@ pairs, runs each pair through the functional engine (results) while the
 scheduler model accounts for block occupancy (performance), and reports
 batch-level throughput and utilization.
 
-``run`` is the single batch entry point and takes one documented
-:class:`RunOptions` value for every execution knob:
-
-* ``workers`` fans the functional work across CPU cores through
-  :mod:`repro.parallel` — the software mirror of the N_K channel
-  fan-out — while the performance model still accounts for the
-  *device's* concurrency, and a failing pair becomes a structured error
-  record instead of aborting the batch;
-* ``timeout`` bounds each pair's wall-clock seconds.
+``run(pairs)`` is the single batch entry point and has no per-call
+knobs, like the paper's host program draining a batch across its
+``N_K`` kernel copies.
 
 A runtime's backend is decided once, at construction
 (:data:`repro.backend.DEFAULT_BACKEND` unless named).  There is one
 wavefront driver and ``run`` reaches it one way: when the backend has a
-whole-batch callable (``backend="compiled"``) the serial path hands the
-entire batch to one :func:`repro.backend.compiled_align_batch` sweep;
-``workers > 1``, ``timeout``, or a sweep that raises run per pair
-instead — for the compiled backend the same driver on batches of one —
-which is what turns a failing pair into a :class:`WorkError` record.
+whole-batch callable (``backend="compiled"``) the entire batch goes to
+one :func:`repro.backend.compiled_align_batch` sweep.  Only when the
+backend has no such callable, or the sweep raises, do the pairs run one
+by one in-process — for the compiled backend the same driver on batches
+of one — which is what turns a failing pair into a :class:`WorkError`
+record instead of losing the batch.
 
 Execution reports through the current :mod:`repro.obs` recorder: a
 ``host.run`` span brackets the batch, with child ``host.execute``
@@ -45,49 +40,6 @@ from repro.host.scheduler import AlignmentBatch, HostScheduler, ScheduleResult
 from repro.obs.recorder import get_recorder
 from repro.parallel import ParallelExecutor, WorkError
 from repro.synth.compiler import LaunchConfig, SynthesisReport, synthesize
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Every execution knob of one :meth:`DeviceRuntime.run` call.
-
-    ``workers=None`` (the default) keeps the deterministic serial path:
-    every pair runs in-process, in order, producing bit-identical
-    results.  ``workers > 1`` fans pairs across a process pool; that
-    path requires the runtime's spec to be the registered kernel
-    (worker processes re-resolve it by id).  ``timeout`` bounds each
-    pair's wall-clock seconds.
-    """
-
-    workers: Optional[int] = None
-    timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-
-    @property
-    def n_workers(self) -> int:
-        """The effective process-pool width (``None`` means serial)."""
-        return 1 if self.workers is None else self.workers
-
-
-def _align_pair_task(payload: Tuple, _seed: int) -> AlignmentResult:
-    """Picklable per-pair work item for pooled execution.
-
-    Kernels are resolved by id inside the worker because
-    :class:`~repro.core.spec.KernelSpec` closures do not pickle; the
-    backend travels by name for the same reason.
-    """
-    from repro.kernels import get_kernel
-
-    kernel_id, backend, params, n_pe, ii, max_q, max_r, query, reference = payload
-    return get_backend(backend)(
-        get_kernel(kernel_id), query, reference, params=params,
-        n_pe=n_pe, ii=ii, max_query_len=max_q, max_ref_len=max_r,
-    )
 
 
 @dataclass
@@ -160,40 +112,23 @@ class DeviceRuntime:
     # -- the batch entry point ----------------------------------------
 
     def run(
-        self,
-        pairs: Sequence[Tuple[Sequence[Any], Sequence[Any]]],
-        options: Optional[RunOptions] = None,
+        self, pairs: Sequence[Tuple[Sequence[Any], Sequence[Any]]]
     ) -> BatchOutcome:
-        """Align a batch with host-side parallelism and failure isolation.
+        """Align a batch with failure isolation.
 
-        All execution knobs travel in ``options`` (see
-        :class:`RunOptions`); failed pairs surface in ``errors`` with
-        their batch index, and surviving pairs are unaffected.  An
-        empty batch is a no-op: the scheduler already models it as a
-        zero-cycle schedule, so online callers (the service batcher)
-        never special-case it.
+        Failed pairs surface in ``errors`` with their batch index, and
+        surviving pairs are unaffected.  An empty batch is a no-op: the
+        scheduler already models it as a zero-cycle schedule, so online
+        callers (the service batcher) never special-case it.
         """
-        opts = RunOptions() if options is None else options
-        if not isinstance(opts, RunOptions):
-            raise TypeError(
-                f"options must be a RunOptions, got {type(opts).__name__}"
-            )
         started = time.monotonic()
-        n_workers = opts.n_workers
-        # whole batch first; per-pair only where isolation needs it
-        use_batch = (
-            self._batch_fn is not None and n_workers == 1 and opts.timeout is None
-        )
         recorder = get_recorder()
         pairs = list(pairs)
-        with recorder.span(
-            "host.run", kernel=self.spec.name, pairs=len(pairs),
-            workers=n_workers,
-        ):
+        with recorder.span("host.run", kernel=self.spec.name, pairs=len(pairs)):
             results: Optional[List[Optional[AlignmentResult]]] = None
             errors: List[WorkError] = []
             with recorder.span("host.execute", pairs=len(pairs)):
-                if use_batch:
+                if self._batch_fn is not None:
                     try:
                         results = list(self._batch_fn(
                             self.spec, pairs, params=self.params,
@@ -209,38 +144,9 @@ class DeviceRuntime:
                         # instead of poisoning the whole batch
                         results = None
                 if results is None:
-                    executor = ParallelExecutor(
-                        workers=n_workers, timeout=opts.timeout
+                    batch_result = ParallelExecutor(workers=1).map(
+                        lambda pair, _seed: self._align_pair(*pair), pairs
                     )
-                    if n_workers == 1:
-                        def task(pair, _seed):
-                            return self._align_pair(*pair)
-
-                        batch_result = executor.map(task, pairs)
-                    else:
-                        from repro.kernels import is_registered
-
-                        if not is_registered(self.spec):
-                            raise ValueError(
-                                f"parallel submission needs a registered "
-                                f"kernel so workers can resolve it by id; "
-                                f"{self.spec.name!r} is not kernel "
-                                f"#{self.spec.kernel_id} in the registry — "
-                                f"use workers=1"
-                            )
-                        payloads = [
-                            (
-                                self.spec.kernel_id, self.backend,
-                                self.params,
-                                self.config.n_pe, self.report.ii,
-                                self.config.max_query_len,
-                                self.config.max_ref_len, query, reference,
-                            )
-                            for query, reference in pairs
-                        ]
-                        batch_result = executor.map(
-                            _align_pair_task, payloads
-                        )
                     results = batch_result.values(strict=False)
                     errors = batch_result.errors
             with recorder.span("host.schedule", jobs=len(pairs)):
@@ -275,7 +181,7 @@ class DeviceRuntime:
         query: Sequence[Any],
         reference: Sequence[Any],
     ) -> AlignmentResult:
-        """One pair on one block (the serial-path work item)."""
+        """One pair on one block (the per-pair path's work item)."""
         return self._align_fn(
             self.spec, query, reference, params=self.params,
             n_pe=self.config.n_pe, ii=self.report.ii,

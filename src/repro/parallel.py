@@ -13,9 +13,9 @@ Three properties the rest of the system relies on:
   ``(base_seed, index)`` via :func:`derive_seed`, and outcomes are returned
   in index order, so a run with ``workers=4`` is indistinguishable from a
   run with ``workers=1``.
-* **Failure isolation** — a worker exception (or per-item timeout) becomes
-  a structured :class:`WorkError` record on that item; the rest of the
-  batch completes normally.
+* **Failure isolation** — a worker exception becomes a structured
+  :class:`WorkError` record on that item; the rest of the batch
+  completes normally.
 * **Serial transparency** — ``workers=1`` executes in-process through the
   exact same chunk runner the pool uses, so the serial path stays
   bit-identical and debuggable.
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import signal
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,7 +44,6 @@ __all__ = [
     "ParallelExecutor",
     "WorkError",
     "derive_seed",
-    "run_batch",
 ]
 
 
@@ -148,46 +145,9 @@ class BatchResult:
         return [o.value if o.ok else None for o in self.outcomes]
 
 
-class _ItemTimeout(Exception):
-    """Internal marker raised by the SIGALRM handler."""
-
-
-def _call_with_timeout(fn: Callable[..., Any], args: tuple, timeout: Optional[float]):
-    """Run ``fn(*args)``, raising :class:`_ItemTimeout` after ``timeout`` s.
-
-    Uses a real (SIGALRM) interval timer, so it bounds genuine runtime,
-    not just cooperative checkpoints.  Only armed when a timeout is set;
-    the previous handler/timer are restored either way.
-
-    Signal handlers can only be installed from the process's main thread.
-    When the in-process (``workers=1``) path runs on a worker thread —
-    the service's batcher dispatch threads do exactly that —
-    ``signal.signal`` would raise ``ValueError``, so the call falls back
-    to a documented no-timeout path: the item runs unbounded rather than
-    failing spuriously.  Pool workers are unaffected (chunks always run
-    on each worker process's main thread).
-    """
-    if not timeout:
-        return fn(*args)
-    if threading.current_thread() is not threading.main_thread():
-        return fn(*args)
-
-    def on_alarm(_signum, _frame):
-        raise _ItemTimeout(f"work item exceeded {timeout:g}s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _run_chunk(
     fn: Callable[[Any, int], Any],
     entries: Sequence[Tuple[int, int, Any]],
-    timeout: Optional[float],
 ) -> List[ItemOutcome]:
     """Execute one chunk of ``(index, seed, item)`` entries.
 
@@ -199,12 +159,7 @@ def _run_chunk(
     outcomes: List[ItemOutcome] = []
     for index, seed, item in entries:
         try:
-            value = _call_with_timeout(fn, (item, seed), timeout)
-        except _ItemTimeout as exc:
-            outcomes.append(ItemOutcome(
-                index=index, ok=False,
-                error=WorkError(index, "TimeoutError", str(exc)),
-            ))
+            value = fn(item, seed)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             outcomes.append(ItemOutcome(
                 index=index, ok=False,
@@ -229,42 +184,22 @@ def default_workers() -> int:
 class ParallelExecutor:
     """Chunked, order-preserving, failure-isolating process-pool mapper.
 
-    Parameters
-    ----------
-    workers:
-        Process count.  ``None`` uses :func:`default_workers`; ``1`` runs
-        in-process (no pool, no pickling).
-    chunk_size:
-        Items per dispatched chunk.  ``None`` splits the batch into about
-        four chunks per worker — large enough to amortize process dispatch,
-        small enough to load-balance uneven item costs.
-    timeout:
-        Per-item wall-clock budget in seconds; an overrunning item becomes
-        a ``TimeoutError`` :class:`WorkError` without killing its worker.
+    ``workers`` is the process count: ``None`` uses
+    :func:`default_workers`; ``1`` runs in-process (no pool, no
+    pickling).  A batch is split into about four chunks per worker —
+    large enough to amortize process dispatch, small enough to
+    load-balance uneven item costs.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         self.workers = workers if workers is not None else default_workers()
-        self.chunk_size = chunk_size
-        self.timeout = timeout
 
     def _chunks(
         self, entries: List[Tuple[int, int, Any]]
     ) -> List[List[Tuple[int, int, Any]]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(entries) // (self.workers * 4)))
+        size = max(1, -(-len(entries) // (self.workers * 4)))
         return [entries[k:k + size] for k in range(0, len(entries), size)]
 
     def map(
@@ -291,7 +226,7 @@ class ParallelExecutor:
         if self.workers == 1:
             with recorder.span("parallel.map", workers=1, items=len(entries),
                                chunks=1):
-                outcomes = _run_chunk(fn, entries, self.timeout)
+                outcomes = _run_chunk(fn, entries)
             self._record(recorder, outcomes, chunks=1)
             return BatchResult(
                 outcomes=outcomes, workers=1,
@@ -306,7 +241,7 @@ class ParallelExecutor:
             ) as pool:
                 with recorder.span("parallel.dispatch", chunks=len(chunks)):
                     futures = [
-                        pool.submit(_run_chunk, fn, chunk, self.timeout)
+                        pool.submit(_run_chunk, fn, chunk)
                         for chunk in chunks
                     ]
                 with recorder.span("parallel.drain", chunks=len(chunks)):
@@ -326,28 +261,7 @@ class ParallelExecutor:
             return
         recorder.count("parallel.items", len(outcomes))
         recorder.count("parallel.chunks", chunks)
-        timeouts = sum(
-            1 for o in outcomes
-            if not o.ok and o.error is not None
-            and o.error.error_type == "TimeoutError"
-        )
         failures = sum(1 for o in outcomes if not o.ok)
-        if timeouts:
-            recorder.count("parallel.item_timeouts", timeouts)
         if failures:
             recorder.count("parallel.item_failures", failures)
 
-
-def run_batch(
-    fn: Callable[[Any, int], Any],
-    items: Sequence[Any],
-    workers: int = 1,
-    seed: int = 0,
-    chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-) -> BatchResult:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, timeout=timeout
-    )
-    return executor.map(fn, items, seed=seed)

@@ -51,20 +51,14 @@ class RuntimeTileDispatcher(TileDispatcher):
     :attr:`TileResult.cached`.
     """
 
-    def __init__(self, runtime: Any, options: Any = None) -> None:
-        from repro.host.runtime import RunOptions
-
+    def __init__(self, runtime: Any) -> None:
         self.runtime = runtime
-        self.options = RunOptions() if options is None else options
-        spec = getattr(runtime, "spec", None)
-        if spec is None:
-            spec = getattr(getattr(runtime, "runtime", None), "spec", None)
         #: Kernel id the tiles execute on (for trace records).
-        self.kernel_id: int = getattr(spec, "kernel_id", 0)
+        self.kernel_id: int = runtime.spec.kernel_id
 
     def run_tiles(self, pairs: Sequence[TilePair]) -> List[TileResult]:
         """One batched ``run`` call per wavefront."""
-        outcome = self.runtime.run(list(pairs), options=self.options)
+        outcome = self.runtime.run(list(pairs))
         if outcome.errors:
             first = outcome.errors[0]
             raise RuntimeError(

@@ -10,10 +10,8 @@ kernels (a heterogeneous deployment, buildable directly from a
 
 Routing is least-loaded: a flushed batch goes to the member currently
 holding the fewest in-flight pairs for that kernel.  Execution goes
-through ``DeviceRuntime.run``, so functional work can fan across the
-:mod:`repro.parallel` process pool (``workers > 1``) while per-pair
-failures stay isolated as structured errors — and with
-``backend="compiled"`` and the default ``workers=1``, the whole flushed
+through ``DeviceRuntime.run``, so per-pair failures stay isolated as
+structured errors — and with ``backend="compiled"`` the whole flushed
 batch runs as *one* :func:`repro.backend.compiled_align_batch` lockstep
 sweep, so the batcher's work of assembling per-kernel batches is paid
 back as amortized NumPy dispatch instead of N serialized calls.
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import DEFAULT_BACKEND
-from repro.host.runtime import BatchOutcome, DeviceRuntime, RunOptions
+from repro.host.runtime import BatchOutcome, DeviceRuntime
 from repro.obs.recorder import get_recorder
 from repro.synth.compiler import LaunchConfig
 from repro.synth.linker import LinkedDesign
@@ -103,14 +101,10 @@ class DevicePool:
     def __init__(
         self,
         runtimes: Sequence[DeviceRuntime],
-        workers: int = 1,
         cache: Optional[Any] = None,
     ) -> None:
         if not runtimes:
             raise ValueError("a device pool needs at least one runtime")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self.cache = cache
         runtimes = [self._wrap(rt) for rt in runtimes]
         self.members: List[PoolMember] = [
@@ -138,7 +132,6 @@ class DevicePool:
     def from_linked_design(
         cls,
         design: LinkedDesign,
-        workers: int = 1,
         params_by_kernel: Optional[Dict[int, Any]] = None,
         cache: Optional[Any] = None,
         backend: str = DEFAULT_BACKEND,
@@ -170,7 +163,7 @@ class DevicePool:
             )
             for channel in design.channels
         ]
-        return cls(runtimes, workers=workers, cache=cache)
+        return cls(runtimes, cache=cache)
 
     # -- online membership --------------------------------------------
 
@@ -322,10 +315,7 @@ class DevicePool:
                 pairs=len(pairs),
             ):
                 with member.exclusive:
-                    outcome = member.runtime.run(
-                        list(pairs),
-                        options=RunOptions(workers=self.workers),
-                    )
+                    outcome = member.runtime.run(list(pairs))
         finally:
             self._release(member, len(pairs))
         return outcome, member

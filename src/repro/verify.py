@@ -91,7 +91,7 @@ def _check_pair(
             failures.append(
                 VerificationFailure(
                     "score", n_pe, index,
-                    f"systolic {actual.score} != oracle {expected.score}",
+                    f"{backend} {actual.score} != oracle {expected.score}",
                 )
             )
             continue
@@ -99,7 +99,7 @@ def _check_pair(
             failures.append(
                 VerificationFailure(
                     "start_cell", n_pe, index,
-                    f"systolic {actual.start} != oracle {expected.start}",
+                    f"{backend} {actual.start} != oracle {expected.start}",
                 )
             )
         if spec.has_traceback:

@@ -7,6 +7,7 @@ and :class:`CachedRuntime` is observably identical to the uncached
 served from the tiers when warm.
 """
 
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.cache import (
 )
 from repro.host import DeviceRuntime
 from repro.kernels import get_kernel
+from repro.obs import MetricsRecorder, use_recorder
 from repro.synth import LaunchConfig
 from tests.conftest import mutated_copy, random_dna
 
@@ -119,6 +121,38 @@ class TestCacheStack:
         stack.store("some-key", result)
         assert stack.memory.bytes_used == len(encode_result(result))
 
+    def test_eviction_counter_conserves_under_concurrent_stores(self):
+        """Each store counts only the evictions its own put made, so
+        ``cache.evictions`` equals the memory tier's real eviction count
+        however the threads interleave."""
+        result = cached_runtime().runtime.run(make_pairs(1)).results[0]
+        stack = CacheStack(CacheConfig(memory_bytes=2000))
+        recorder = MetricsRecorder()
+
+        def worker(base):
+            for k in range(1000):
+                stack.store(f"{base}-{k}", result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_recorder(recorder):
+                threads = [
+                    threading.Thread(target=worker, args=(t,))
+                    for t in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        real = stack.memory.stats().evictions
+        assert real > 0
+        counted = recorder.snapshot()["counters"]["cache.evictions"]
+        assert counted == real
+
 
 class TestCachedRuntime:
     def test_results_identical_to_uncached(self):
@@ -201,11 +235,11 @@ class TestCachedRuntime:
         leader_entered = threading.Event()
         release = threading.Event()
 
-        def slow_run(pairs, options=None):
+        def slow_run(pairs):
             engine_pair_counts.append(len(pairs))
             leader_entered.set()
             assert release.wait(timeout=30.0)
-            return real_run(pairs, options=options)
+            return real_run(pairs)
 
         inner.run = slow_run
         outcomes = {}

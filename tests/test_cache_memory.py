@@ -44,7 +44,7 @@ class TestLRUOrder:
         cache = MemoryCache(max_bytes=30)
         for name in "abc":
             cache.put(name, name, 10)
-        cache.put("z", "Z", 25)  # must evict a, b and c
+        assert cache.put("z", "Z", 25) == 3  # must evict a, b and c
         assert cache.keys() == ["z"]
         assert cache.stats().evictions == 3
 
@@ -65,14 +65,14 @@ class TestByteBudget:
         """One unstorable value must not flush the whole cache."""
         cache = MemoryCache(max_bytes=20)
         cache.put("a", "A", 10)
-        assert cache.put("big", "B", 21) is False
+        assert cache.put("big", "B", 21) == 0
         assert "big" not in cache
         assert cache.get("a") == "A"
         assert cache.stats().oversize_rejections == 1
 
     def test_zero_byte_entries_allowed(self):
         cache = MemoryCache(max_bytes=10)
-        assert cache.put("empty", "E", 0) is True
+        assert cache.put("empty", "E", 0) == 0
         assert cache.get("empty") == "E"
 
     def test_negative_charge_rejected(self):

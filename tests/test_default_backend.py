@@ -7,6 +7,7 @@ it could be selected before.  Assertions are on what actually ran
 ``backend`` the built object reports, never on the declared default.
 """
 
+import inspect
 import os
 import re
 import signal
@@ -18,7 +19,7 @@ import pytest
 
 from repro.backend import BACKENDS, DEFAULT_BACKEND
 from repro.cli import build_parser, main
-from repro.host import DeviceRuntime, RunOptions
+from repro.host import DeviceRuntime
 from repro.kernels import get_kernel
 from repro.obs import TraceRecorder, use_recorder
 from repro.service import DevicePool
@@ -145,10 +146,10 @@ class TestLibraryDefaults:
         assert f"engine.cells_total{{backend={OTHER[name]}}}" not in counters
 
     def test_the_backend_is_not_a_per_call_option(self):
-        assert not hasattr(RunOptions(), "backend")
+        assert list(inspect.signature(DeviceRuntime.run).parameters) == [
+            "self", "pairs",
+        ]
         assert not hasattr(DeviceRuntime, "_backend_fns")
-        with pytest.raises(TypeError):
-            RunOptions(backend="systolic")
 
 
 class TestServeBanner:

@@ -2,14 +2,13 @@
 
 Covers the shapes the fuzzer leans on hardest: single-base queries,
 query lengths not divisible by N_PE, bands narrower than one chunk of
-PEs, empty batches, and worker-failure injection in the parallel host
-path.
+PEs, empty batches, and failure injection in the host batch path.
 """
 
 import numpy as np
 import pytest
 
-from repro.host import DeviceRuntime, RunOptions
+from repro.host import DeviceRuntime
 from repro.kernels import get_kernel
 from repro.reference.dp_oracle import oracle_align
 from repro.synth import LaunchConfig
@@ -89,10 +88,10 @@ def _pairs(n, length=24):
 
 
 class TestBatchEdgeCases:
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_empty_run_returns_empty_outcome(self, workers):
-        """run([]) is a no-op batch."""
-        outcome = _runtime().run([], options=RunOptions(workers=workers))
+    @pytest.mark.parametrize("n_k", (1, 2))
+    def test_empty_run_returns_empty_outcome(self, n_k):
+        """run([]) is a no-op batch, whatever the kernel count."""
+        outcome = _runtime(n_k=n_k).run([])
         assert outcome.results == [] and outcome.errors == []
         assert outcome.schedule.makespan_cycles == 0
 
@@ -101,12 +100,12 @@ class TestBatchEdgeCases:
         assert len(outcome.results) == 1 and outcome.errors == []
         assert outcome.alignments_per_sec > 0
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_poisoned_pair_does_not_lose_the_batch(self, workers):
+    @pytest.mark.parametrize("n_k", (1, 2))
+    def test_poisoned_pair_does_not_lose_the_batch(self, n_k):
         """One invalid pair yields an error record; the rest align."""
         pairs = _pairs(5)
         pairs.insert(2, ((99,), (0, 1, 2)))  # symbol outside the alphabet
-        outcome = _runtime().run(pairs, options=RunOptions(workers=workers))
+        outcome = _runtime(n_k=n_k).run(pairs)
         assert len(outcome.errors) == 1
         error = outcome.errors[0]
         assert error.index == 2
@@ -115,23 +114,3 @@ class TestBatchEdgeCases:
         assert sum(r is not None for r in outcome.results) == 5
         # The schedule only accounts for the pairs that actually ran.
         assert outcome.schedule.n_jobs == 5
-
-    def test_serial_and_parallel_run_identical(self):
-        pairs = _pairs(6)
-        serial = _runtime().run(pairs, options=RunOptions(workers=1))
-        pooled = _runtime().run(pairs, options=RunOptions(workers=2))
-        assert [r.score for r in serial.results] == [
-            r.score for r in pooled.results
-        ]
-        assert [r.cycles.total for r in serial.results] == [
-            r.cycles.total for r in pooled.results
-        ]
-        assert serial.schedule == pooled.schedule
-
-    def test_parallel_run_requires_registered_kernel(self):
-        import dataclasses
-
-        runtime = _runtime()
-        runtime.spec = dataclasses.replace(runtime.spec, name="custom_copy")
-        with pytest.raises(ValueError, match="registered kernel"):
-            runtime.run(_pairs(2), options=RunOptions(workers=2))

@@ -1,15 +1,8 @@
 """Tests for the process-pool batch execution layer (repro.parallel)."""
 
-import time
-
 import pytest
 
-from repro.parallel import (
-    BatchError,
-    ParallelExecutor,
-    derive_seed,
-    run_batch,
-)
+from repro.parallel import BatchError, ParallelExecutor, derive_seed
 
 
 def _double(item, _seed):
@@ -24,11 +17,6 @@ def _poison_13(item, _seed):
     if item == 13:
         raise ValueError("poisoned item")
     return item + 1
-
-
-def _sleep_for(item, _seed):
-    time.sleep(item)
-    return item
 
 
 class TestDeriveSeed:
@@ -54,16 +42,18 @@ class TestDeriveSeed:
 
 class TestSerialPath:
     def test_maps_in_order(self):
-        result = run_batch(_double, [1, 2, 3], workers=1)
+        result = ParallelExecutor(workers=1).map(_double, [1, 2, 3])
         assert result.ok
         assert result.values() == [2, 4, 6]
 
     def test_empty_batch(self):
-        result = run_batch(_double, [], workers=1)
+        result = ParallelExecutor(workers=1).map(_double, [])
         assert result.ok and len(result) == 0 and result.values() == []
 
     def test_seeds_passed_per_item(self):
-        result = run_batch(_echo_seed, ["a", "b"], workers=1, seed=3)
+        result = ParallelExecutor(workers=1).map(
+            _echo_seed, ["a", "b"], seed=3
+        )
         assert result.values() == [
             ("a", derive_seed(3, 0)), ("b", derive_seed(3, 1))
         ]
@@ -72,12 +62,13 @@ class TestSerialPath:
 class TestPooledPath:
     def test_matches_serial_bit_for_bit(self):
         items = list(range(17))
-        serial = run_batch(_double, items, workers=1, seed=9)
-        pooled = run_batch(_double, items, workers=3, seed=9)
+        serial = ParallelExecutor(workers=1).map(_double, items, seed=9)
+        pooled = ParallelExecutor(workers=3).map(_double, items, seed=9)
         assert serial.outcomes == pooled.outcomes
 
     def test_order_preserved_with_tiny_chunks(self):
-        result = run_batch(_double, list(range(11)), workers=2, chunk_size=1)
+        # 11 items over 2 workers split into 6 chunks of at most 2
+        result = ParallelExecutor(workers=2).map(_double, list(range(11)))
         assert result.values() == [2 * k for k in range(11)]
 
     def test_chunk_count_amortizes_dispatch(self):
@@ -92,7 +83,7 @@ class TestFailureIsolation:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_poisoned_item_does_not_kill_batch(self, workers):
         items = [10, 13, 20, 30]
-        result = run_batch(_poison_13, items, workers=workers)
+        result = ParallelExecutor(workers=workers).map(_poison_13, items)
         assert not result.ok
         assert len(result.errors) == 1
         error = result.errors[0]
@@ -102,79 +93,21 @@ class TestFailureIsolation:
         assert result.values(strict=False) == [11, None, 21, 31]
 
     def test_strict_values_raise_batch_error(self):
-        result = run_batch(_poison_13, [13], workers=1)
+        result = ParallelExecutor(workers=1).map(_poison_13, [13])
         with pytest.raises(BatchError, match="poisoned"):
             result.values()
 
     def test_serial_and_pooled_errors_compare_equal(self):
         """Tracebacks differ between processes; structured records don't."""
-        serial = run_batch(_poison_13, [13, 1], workers=1)
-        pooled = run_batch(_poison_13, [13, 1], workers=2)
+        serial = ParallelExecutor(workers=1).map(_poison_13, [13, 1])
+        pooled = ParallelExecutor(workers=2).map(_poison_13, [13, 1])
         assert serial.outcomes == pooled.outcomes
-
-
-class TestTimeout:
-    def test_overrunning_item_becomes_timeout_error(self):
-        result = run_batch(
-            _sleep_for, [0.0, 0.5], workers=1, timeout=0.15
-        )
-        assert result.values(strict=False)[0] == 0.0
-        assert len(result.errors) == 1
-        assert result.errors[0].error_type == "TimeoutError"
-        assert result.errors[0].index == 1
-
-    def test_pooled_timeout_isolated_per_item(self):
-        result = run_batch(
-            _sleep_for, [0.5, 0.0], workers=2, chunk_size=1, timeout=0.15
-        )
-        assert result.errors[0].index == 0
-        assert result.values(strict=False)[1] == 0.0
-
-    def test_non_main_thread_falls_back_to_no_timeout(self):
-        """SIGALRM cannot be armed off the main thread: the in-process
-        path must run the item unbounded instead of raising from
-        ``signal.signal`` (the service's dispatch threads rely on it)."""
-        import threading
-
-        captured = {}
-
-        def run_on_thread():
-            try:
-                captured["result"] = run_batch(
-                    _sleep_for, [0.05], workers=1, timeout=0.01
-                )
-            except Exception as exc:  # pragma: no cover - the old failure
-                captured["exception"] = exc
-
-        thread = threading.Thread(target=run_on_thread)
-        thread.start()
-        thread.join(timeout=10.0)
-        assert "exception" not in captured, captured.get("exception")
-        result = captured["result"]
-        # The item overran the nominal timeout but completed: the
-        # fallback is documented as no-timeout, not best-effort.
-        assert result.ok
-        assert result.values() == [0.05]
-
-    def test_main_thread_timeout_still_armed(self):
-        """The guard must not disable timeouts on the main thread."""
-        result = run_batch(_sleep_for, [0.3], workers=1, timeout=0.05)
-        assert not result.ok
-        assert result.errors[0].error_type == "TimeoutError"
 
 
 class TestValidation:
     def test_bad_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ParallelExecutor(workers=0)
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelExecutor(chunk_size=0)
-
-    def test_bad_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            ParallelExecutor(timeout=0)
 
     def test_default_workers_positive(self):
         assert ParallelExecutor().workers >= 1
@@ -185,7 +118,7 @@ class TestBatchErrorTraceback:
         """The BatchError message must carry the worker-side traceback —
         the original raise site, not just the exception repr — so a
         failure inside a pooled work function stays debuggable."""
-        result = run_batch(_poison_13, [1, 13, 2], workers=2, chunk_size=1)
+        result = ParallelExecutor(workers=2).map(_poison_13, [1, 13, 2])
         with pytest.raises(BatchError) as excinfo:
             result.values()
         message = str(excinfo.value)
@@ -195,7 +128,7 @@ class TestBatchErrorTraceback:
         assert "_poison_13" in message  # the actual raising frame
 
     def test_serial_path_traceback_preserved_too(self):
-        result = run_batch(_poison_13, [13], workers=1)
+        result = ParallelExecutor(workers=1).map(_poison_13, [13])
         with pytest.raises(BatchError, match="in _poison_13"):
             result.values()
 

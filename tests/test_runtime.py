@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.host import DeviceRuntime, RunOptions
+from repro.host import DeviceRuntime
 from repro.kernels import get_kernel
 from repro.kernels.global_linear import ScoringParams
 from repro.synth import LaunchConfig
@@ -99,18 +99,12 @@ class TestDeviceRuntime:
 
 
 class TestRunOptions:
-    """The unified RunOptions surface."""
+    """``run`` takes the batch and nothing else."""
 
     def test_unknown_kwarg_rejected(self):
         runtime = DeviceRuntime(get_kernel(1), small_config())
         with pytest.raises(TypeError, match="unexpected keyword"):
             runtime.run(pairs(1), wrokers=2)
-
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            RunOptions(workers=0)
-        with pytest.raises(ValueError, match="timeout"):
-            RunOptions(timeout=-1.0)
 
     def test_per_call_backend_override_is_bit_identical(self):
         # the backend is decided once, at construction: one runtime each

@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_invalid_workers(self):
         runtime = DeviceRuntime(get_kernel(1), small_config())
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DevicePool([runtime], workers=0)
 
     def test_kernel_index(self):

@@ -58,6 +58,25 @@ class TestVerifyKernel:
         assert align(broken, q, r, n_pe=4).score != \
             oracle_align(base, q, r).score
 
+    def test_failure_detail_names_the_backend_under_test(self, monkeypatch):
+        """A compiled-backend mismatch must not blame the systolic engine."""
+        import repro.backend
+
+        real = repro.backend.BACKENDS["compiled"]
+
+        def off_by_one(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return replace(result, score=result.score + 1)
+
+        monkeypatch.setitem(repro.backend.BACKENDS, "compiled", off_by_one)
+        report = verify_kernel(
+            get_kernel(1), small_pairs(1, n=1), n_pe_values=(4,),
+            backend="compiled",
+        )
+        (failure,) = report.failures
+        assert failure.check == "score"
+        assert failure.detail.startswith("compiled "), failure.detail
+
     def test_all_kernels_verify_quickly(self):
         """One tiny pair per kernel through the harness."""
         for kid in sorted(KERNELS):
