@@ -7,19 +7,22 @@ the C twin of the NumPy loop in :func:`repro.backend.batch._sweep_bucket`
 and opens it with ``ctypes``.  Nothing selects it: a kernel whose build
 succeeds sweeps natively, any other runs the NumPy loop, bit-identically.
 
-Objects are content-addressed (SHA-256 of source, compiler path/size/mtime
-and flags) in a per-user ``0700`` directory, written by temp file +
-``os.replace`` and loaded only when file and directory belong to this uid
-and nobody else can write them; a hit spawns no process.  See
-``docs/backends.md``, "Native lowering".
+Objects are built ``-O3`` (on x86-64 for this CPU's vector ISA) and
+content-addressed (SHA-256 of source, compiler path/size/mtime, flags and
+the ``/proc/cpuinfo`` flags line) in a per-user ``0700`` directory,
+written by temp file + ``os.replace`` and loaded only when file and
+directory belong to this uid and nobody else can write them; a hit
+spawns no process.  See ``docs/backends.md``, "Native lowering".
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import os
+import platform
 import shutil
 import stat
 import tempfile
@@ -32,9 +35,11 @@ import numpy as np
 from repro.core.spec import KernelSpec, Objective, ParamSignature, StartRule
 from repro.hdl_types import ApFixedType, ApIntType, Overflow, Rounding
 
-#: No -ffast-math, no -march=native: IEEE semantics and one object per
-#: machine; contraction off so ``a * b + c`` rounds twice, as NumPy does.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: No -ffast-math: IEEE semantics; contraction off so ``a * b + c`` rounds
+#: twice, as NumPy does.  :func:`build_flags` adds ``CPU_FLAGS`` on x86-64:
+#: its vector ISA at 256 bits (512 gains ~5% and slows the shared core's clock).
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+CPU_FLAGS = ("-march=native", "-mprefer-vector-width=256")
 
 
 class NativeUnavailable(RuntimeError):
@@ -91,14 +96,34 @@ int walk(const int64_t *dim, void *const *arg)
 }
 """
 
+#: The cell at row ``i`` of the lane's diagonal ``d``, once per unit (each
+#: driver expands it with its own ``T``/``W``): neighbours, symbols (``F``
+#: fields of type ``SYM``), the emitted PE statements, ``scores`` and ``ptr``.
+_CELL = Template("""
+#if F  /* struct symbols: one operand plane per field */
+#define SYMBOLS SYM qry[F], ref[F]; UNROLL for (int f = 0; f < F; f++) \\
+                    qry[f] = q[f * B * Q + i], ref[f] = r[f * B * R + i];
+#else
+#define SYMBOLS const SYM qry = q[i], ref = r[i];
+#endif
+#define CELL T up[L], left[L], diag[L]; UNROLL for (int k = 0; k < L; k++) \\
+                    up[k] = prev[k][i - 1], left[k] = prev[k][i], diag[k] = prev2[k][i - 1]; \\
+                SYMBOLS \\
+$body \\
+                const W scores[L] = {$scores}; \\
+                const __auto_type ptr = $ptr;
+""")
+
 #: One instantiation per working dtype ``T`` (``W``: what a score widens to
-#: before quantising); ``L`` layers, ``F`` symbol fields of type ``SYM``.
-#: ``dim``: lanes, Q, R, last diagonal, band or -1, largest pointer to
-#: accept or -1 for unchecked, then rows per layer.  ``arg``: the L skewed
-#: layers, then the operands unpacked below.  ``best``/``cell`` are each
-#: lane's running start cell, ``systolic.traceback.BestCellTracker`` on its
-#: own live cells: ``START`` says which are eligible, ``BETTER`` is strict,
-#: and of two equal cells the later has the smaller (i, j) iff a smaller row.
+#: before quantising); ``L`` layers.  ``dim``: lanes, Q, R, last diagonal,
+#: band or -1, largest pointer to accept or -1 for unchecked, then rows per
+#: layer.  ``arg``: the L skewed layers, then the operands unpacked below.
+#: ``best``/``cell`` are each lane's running start cell,
+#: ``systolic.traceback.BestCellTracker`` on its own live cells: ``START``
+#: says which are eligible, ``BETTER`` is strict, and of two equal cells the
+#: later has the smaller (i, j) iff a smaller row.  The row loop has no
+#: branch, so it vectorises (``ivdep``: it stores no row it loads): retired
+#: rows run the PE and are zeroed after it, a bad pointer only sets ``bad``.
 _DRIVER = Template("""
 #define T $T
 #define W $W
@@ -114,7 +139,7 @@ static inline void observe_$sfx(T score, int64_t i, int64_t j, T *best, int64_t 
 int sweep_$sfx(const int64_t *dim, void *const *arg)
 {
     const int64_t B = dim[0], Q = dim[1], R = dim[2], last = dim[3];
-    const int64_t band = dim[4], max_ptr = dim[5];
+    const int64_t band = dim[4], limit = dim[5] < 0 ? INT64_MAX : dim[5];
     const int64_t *rows = dim + 6, S = Q + 2, D = Q + R + 1;
     const T *const row_init = arg[L], *const col_init = row_init + D * L * B;
     uint8_t *const ptrs = arg[L + 1];
@@ -126,13 +151,13 @@ int sweep_$sfx(const int64_t *dim, void *const *arg)
     double *const out = arg[L + 9];  /* cells swept or: 1, the bad pointer, is it a double */
 $params
     int64_t swept = 0;
-    for (int d = 2; d <= last; d++) {
+    int has_bad = 0;
+    for (int d = 2; d <= last && !has_bad; d++) {
         int64_t ilo = d - R > 1 ? d - R : 1, ihi = d - 1 < Q ? d - 1 : Q;
         if (band >= 0) {  /* |i - (d - i)| <= band */
             if ((d - band + 1) / 2 > ilo) ilo = (d - band + 1) / 2;
             if ((d + band) / 2 < ihi) ihi = (d + band) / 2;
         }
-        int has_bad = 0;
         for (int64_t b = 0; b < B; b++) {
             T *cur[L];  /* diagonal d; prev: d - 1; prev2: d - 2 */
             const T *prev[L], *prev2[L];
@@ -146,40 +171,29 @@ $params
             }
             const SYM *q = qsym + b * Q - 1, *r = rsym + b * R + R - d;
             const int64_t vlo = d - nr[b], vhi = nq[b];
-            uint8_t *pr = ptrs ? ptrs + (b * D + d) * S : 0;
+            uint8_t *const pr = ptrs ? ptrs + (b * D + d) * S : 0;
+            int bad = 0;
+#pragma GCC ivdep
             for (int64_t i = ilo; i <= ihi; i++) {
-                T up[L], left[L], diag[L];
-                UNROLL
-                for (int k = 0; k < L; k++) {
-                    up[k] = prev[k][i - 1];
-                    left[k] = prev[k][i];
-                    diag[k] = prev2[k][i - 1];
-                }
-#if F  /* struct symbols: one operand plane per field */
-                SYM qry[F], ref[F];
-                UNROLL
-                for (int f = 0; f < F; f++) {
-                    qry[f] = q[f * B * Q + i];
-                    ref[f] = r[f * B * R + i];
-                }
-#else
-                const SYM qry = q[i], ref = r[i];
-#endif
-$body
-                const W scores[L] = {$scores};
-                const int live = i >= vlo && i <= vhi;  /* else: zero first */
+                CELL
                 UNROLL
                 for (int k = 0; k < L; k++)
-                    cur[k][i] = quant_$sfx(live ? scores[k] : 0);
-                if (pr) {
-                    const __auto_type ptr = $ptr;
-                    if (max_ptr >= 0 && (ptr < 0 || ptr > max_ptr)) {
-                        has_bad = 1;  /* the last one, lanes then rows */
-                        out[1] = (double)ptr;
-                        out[2] = _Generic(ptr + 0, double: 1, default: 0);
-                    } else
-                        pr[i] = (uint8_t)ptr;
-                }
+                    cur[k][i] = quant_$sfx(scores[k]);
+                bad |= (ptr < 0) | (ptr > limit);
+                if (ptrs)  /* loop invariant: -O3 unswitches it */
+                    pr[i] = (uint8_t)ptr;
+            }
+            for (int64_t i = ilo; bad && i <= ihi; i++) {  /* the last one, lanes then rows */
+                CELL
+                if (ptr < 0 || ptr > limit)
+                    out[1] = (double)ptr, out[2] = _Generic(ptr + 0, double: 1, default: 0);
+            }
+            has_bad |= bad;
+            for (int k = 0; k < L; k++) {  /* retired rows: quantised zero */
+                for (int64_t i = ilo; i < vlo && i <= ihi; i++)
+                    cur[k][i] = quant_$sfx(0);
+                for (int64_t i = vhi < ilo ? ilo : vhi + 1; i <= ihi; i++)
+                    cur[k][i] = quant_$sfx(0);
             }
             /* reduction: the eligible ones of the lane's live cells lo..hi */
             const int64_t lo = ilo > vlo ? ilo : vlo, hi = ihi < vhi ? ihi : vhi;
@@ -197,12 +211,10 @@ $body
                 observe_$sfx(cur[SCORE][hi], hi, d - hi, best + b, cell + 2 * b);
 #endif
         }
-        if (has_bad)
-            return 1;
         swept += ihi - ilo + 1;
     }
     out[0] = (double)swept;
-    return 0;
+    return has_bad;
 }
 #undef T
 #undef W
@@ -247,7 +259,7 @@ def translation_unit(
               for n, name in enumerate(tables)]
     params += [f"    const T p_{name} = p[{n}];" for n, name in enumerate(scalars)]
     head = (f"#define L {spec.n_layers}\n#define F {len(spec.alphabet.fields)}\n"
-            f"#define SYM {'int64_t' if spec.alphabet.size else 'double'}\n"
+            f"#define SYM {_C_TYPE[symbol_dtype(spec.alphabet)]}\n"
             f"#define SCORE {spec.score_layer}\n"
             + "".join(f"#define {rule.name} {n}\n" for n, rule in enumerate(StartRule))
             + f"#define START {spec.start_rule.name}\n#define BETTER(a, b) ((a) "
@@ -255,14 +267,22 @@ def translation_unit(
     units = [("f64", "double", "double", False)]
     if isinstance(spec.score_type, ApIntType):
         units.insert(0, ("i32", "int32_t", "int64_t", True))
-    return _PRELUDE + head + "".join(
+    cell = _CELL.substitute(body=" \\\n".join(body), scores=", ".join(scores), ptr=ptr)
+    return _PRELUDE + head + cell + "".join(
         _DRIVER.substitute(
             sfx=sfx, T=t, W=w, quant=_quantiser(spec.score_type, integer),
-            params="\n".join(params), body="\n".join(body),
-            scores=", ".join(scores), ptr=ptr,
+            params="\n".join(params),
         )
         for sfx, t, w, integer in units
     )
+
+
+_C_TYPE = {np.uint8: "uint8_t", np.int64: "int64_t", np.float64: "double"}
+
+
+def symbol_dtype(alphabet: Any) -> type:
+    """What the driver reads a symbol as: a byte wherever the alphabet fits one."""
+    return np.float64 if not alphabet.size else np.uint8 if alphabet.size <= 256 else np.int64
 
 
 # -- build, cache, load ---------------------------------------------------
@@ -306,7 +326,27 @@ def cache_dir() -> Path:
     )
 
 
-def _build(compiler: str, source: str, target: Path) -> None:
+@functools.lru_cache(maxsize=None)
+def cpu_signature() -> Optional[str]:
+    """The ``flags`` line of ``/proc/cpuinfo``, read once per process."""
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as info:
+        return next((line.partition(":")[2].strip() for line in info
+                     if line.startswith("flags")), None)
+    return None
+
+
+def build_flags() -> Tuple[Tuple[str, ...], str]:
+    """The flags objects are built with, and what ``repro info`` says of them."""
+    signature, arch = cpu_signature(), platform.machine()
+    if signature is None:
+        return FLAGS, "portable -O3 (no flags line in /proc/cpuinfo)"
+    if arch != "x86_64":
+        return FLAGS, f"portable -O3 ({arch}: its baseline ISA vectorises)"
+    digest = hashlib.sha256(signature.encode()).hexdigest()[:12]
+    return (*FLAGS, *CPU_FLAGS), f"for this CPU (cpuinfo flags {digest})"
+
+
+def _build(compiler: str, flags: Sequence[str], source: str, target: Path) -> None:
     """Compile ``source`` beside ``target`` and rename it into place."""
     import subprocess
 
@@ -315,7 +355,7 @@ def _build(compiler: str, source: str, target: Path) -> None:
         with os.fdopen(fd, "w") as handle:
             handle.write(source)
         done = subprocess.run(
-            [compiler, *FLAGS, "-o", scratch + ".so", scratch, "-lm"],
+            [compiler, *flags, "-o", scratch + ".so", scratch, "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         if done.returncode:
@@ -335,12 +375,12 @@ def load(source: str) -> Dict[Any, Any]:
     traceback walker), built on a cache miss."""
     if ctypes.sizeof(ctypes.c_void_p) != 8:
         raise NativeUnavailable("the native driver assumes a 64-bit platform")
-    compiler = find_compiler()
-    digest = hashlib.sha256(repr((source, compiler, FLAGS)).encode()).hexdigest()
-    target = cache_dir() / f"{digest}.so"
+    compiler, flags = find_compiler(), build_flags()[0]
+    key = (source, compiler, flags, cpu_signature())
+    target = cache_dir() / f"{hashlib.sha256(repr(key).encode()).hexdigest()}.so"
     try:
         if not target.exists():
-            _build(compiler[0], source, target)
+            _build(compiler[0], flags, source, target)
         if not (_private(target.parent) and _private(target)):
             raise NativeUnavailable(f"{target} is not private to this user")
         lib = ctypes.CDLL(str(target))
@@ -358,8 +398,9 @@ def load(source: str) -> Dict[Any, Any]:
 def describe() -> List[str]:
     """What ``repro info`` prints: compiler, flags, cache — or why not."""
     try:
-        return [f"native lowering: on ({find_compiler()[0]} {' '.join(FLAGS)})",
-                f"object cache   : {cache_dir()}"]
+        flags, why = build_flags()
+        return [f"native lowering: on ({find_compiler()[0]} {' '.join(flags)})",
+                f"objects        : {why}", f"object cache   : {cache_dir()}"]
     except NativeUnavailable as exc:
         return [f"native lowering: off ({exc}); sweeps run the NumPy loop"]
 

@@ -13,8 +13,11 @@ rest of tier-1 exercises the fallback.
 """
 
 import contextlib
+import ctypes
 import dataclasses
+import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -187,6 +190,19 @@ class TestEquivalence:
         pairs = ragged([(tuple(q[:18]), tuple(r[:22])) for q, r in _workload(spec)])
         both_loops(spec, pairs)
         assert_same_buffers(spec, pairs)
+
+    @pytest.mark.parametrize("size", (256, 257))
+    def test_symbols_are_bytes_while_the_alphabet_fits_one(self, size):
+        spec = get_kernel(1)
+        wide = dataclasses.replace(
+            spec, name=f"alphabet{size}",
+            alphabet=dataclasses.replace(spec.alphabet, name=f"a{size}", size=size),
+        )
+        assert native.symbol_dtype(wide.alphabet) is (np.uint8 if size <= 256 else np.int64)
+        rng = np.random.default_rng(size)
+        pairs = [tuple(tuple(rng.integers(size - 3, size, n).tolist()) for n in (19, 23))
+                 for _ in range(3)]
+        both_loops(wide, ragged(pairs))
 
     def test_nan_propagates_like_numpy(self):
         spec = get_kernel(9)  # min-plus over complex samples, saturating
@@ -483,6 +499,59 @@ class TestCache:
         assert outputs[0][0] == outputs[1][0]
         assert [p.suffix for p in fresh.iterdir()] == [".so"]  # one file, no scratch
 
+    def test_another_cpu_never_loads_this_ones_object(self, fresh, monkeypatch):
+        builds, loads = [], []
+        build, cdll = native._build, ctypes.CDLL
+        monkeypatch.setattr(
+            native, "_build", lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: loads.append(path) or cdll(path))
+        for signature in ("fpu sse2 avx2", None, "fpu sse2 avx2 avx512f", "fpu sse2 avx2"):
+            monkeypatch.setattr(native, "cpu_signature", lambda s=signature: s)
+            monkeypatch.setattr(compiler, "_CACHE", {})
+            assert lower(get_kernel(2)).native
+        targets = [str(target) for *_args, target in builds]
+        assert len(set(targets)) == len(targets) == 3  # the last one was a hit
+        assert loads == [*targets, targets[0]]
+        assert [("-march=native" in flags) for _cc, flags, *_rest in builds] == [
+            platform.machine() == "x86_64", False, platform.machine() == "x86_64"]
+
+    def test_cpuinfo_is_read_once_per_process(self, fresh, monkeypatch):
+        opened = []
+
+        def counting(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(native, "open", counting, raising=False)
+        native.cpu_signature.cache_clear()
+        for kid in (1, 2, 1):
+            monkeypatch.setattr(compiler, "_CACHE", {})
+            assert lower(get_kernel(kid)).native
+        native.describe()
+        assert opened == ["/proc/cpuinfo"]
+
+
+class TestVectorised:
+    def test_row_loop_of_sweep_i32_is_vectorised(self, tmp_path):
+        """What the branch-free cell body is for: gcc's report names the loop."""
+        if platform.machine() == "x86_64" and "avx2" not in (native.cpu_signature() or "").split():
+            pytest.skip("an x86-64 CPU without avx2")
+        source = lower(get_kernel(1)).c_source
+        lines = source.splitlines()
+        sweep = next(n for n, line in enumerate(lines) if line.startswith("int sweep_i32("))
+        row = 1 + next(n for n in range(sweep, len(lines))
+                       if "for (int64_t i = ilo; i <= ihi; i++)" in lines[n])
+        path = tmp_path / "kernel1.c"
+        path.write_text(source)
+        done = subprocess.run(
+            [native.find_compiler()[0], *native.build_flags()[0],
+             "-fopt-info-vec-optimized", "-o", str(path.with_suffix(".so")), str(path), "-lm"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert re.search(rf"^{re.escape(str(path))}:{row}:\d+: optimized: loop vectorized",
+                         done.stderr, re.M), done.stderr
+
 
 class TestMemoisedSetUp:
     def test_working_dtype_walks_the_dag_once_per_range(self, monkeypatch):
@@ -551,3 +620,20 @@ class TestFuzzAndCli:
         out = capsys.readouterr().out
         assert native.find_compiler()[0] in out and "-ffp-contract=off" in out
         assert str(native.cache_dir()) in out
+        flags, why = native.build_flags()
+        assert " ".join(flags) in out and why in out
+        signature = native.cpu_signature()
+        if signature and platform.machine() == "x86_64":
+            assert "-O3" in flags and "-march=native" in flags
+            assert hashlib.sha256(signature.encode()).hexdigest()[:12] in why
+        else:
+            assert why.startswith("portable -O3")
+
+    def test_repro_info_says_why_objects_are_portable(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setattr(native, "cpu_signature", lambda: None)
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        assert "portable -O3 (no flags line in /proc/cpuinfo)" in out
+        assert "-O3" in out and "-march=native" not in out
