@@ -327,12 +327,13 @@ def _sweep_bucket(
     if run is not None:
         operands = [np.ascontiguousarray(table) for table in tables.values()]
         sym = native.symbol_dtype(spec.alphabet)  # holds them: checked above
+        q_syms, r_syms = (s.astype(sym, copy=False) for s in (q_syms, r_syms))
         out = np.zeros(3)
         if native.call(
             run,
             [n_lanes, n_rows, n_cols, last, -1 if banding is None else banding,
              max_ptr if check_ptr else -1, *(buf.shape[1] for buf in work)],
-            [*work, init, ptrs, q_syms.astype(sym), r_syms.astype(sym), nq, nr,
+            [*work, init, ptrs, q_syms, r_syms, nq, nr,
              np.asarray(list(scalars.values()), dtype), best, cell, out, *operands],
         ):
             raise too_wide(out[1] if out[2] else int(out[1]))

@@ -36,10 +36,8 @@ from repro.core.spec import KernelSpec, Objective, ParamSignature, StartRule
 from repro.hdl_types import ApFixedType, ApIntType, Overflow, Rounding
 
 #: No -ffast-math: IEEE semantics; contraction off so ``a * b + c`` rounds
-#: twice, as NumPy does.  :func:`build_flags` adds ``CPU_FLAGS`` on x86-64:
-#: its vector ISA at 256 bits (512 gains ~5% and slows the shared core's clock).
+#: twice, as NumPy does.  :func:`build_flags` adds ``-march=native`` on x86-64.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-CPU_FLAGS = ("-march=native", "-mprefer-vector-width=256")
 
 
 class NativeUnavailable(RuntimeError):
@@ -139,7 +137,7 @@ static inline void observe_$sfx(T score, int64_t i, int64_t j, T *best, int64_t 
 int sweep_$sfx(const int64_t *dim, void *const *arg)
 {
     const int64_t B = dim[0], Q = dim[1], R = dim[2], last = dim[3];
-    const int64_t band = dim[4], limit = dim[5] < 0 ? INT64_MAX : dim[5];
+    const int64_t band = dim[4], limit = dim[5];
     const int64_t *rows = dim + 6, S = Q + 2, D = Q + R + 1;
     const T *const row_init = arg[L], *const col_init = row_init + D * L * B;
     uint8_t *const ptrs = arg[L + 1];
@@ -183,6 +181,7 @@ $params
                 if (ptrs)  /* loop invariant: -O3 unswitches it */
                     pr[i] = (uint8_t)ptr;
             }
+            bad &= ptrs && limit >= 0;  /* checked only where the NumPy loop checks */
             for (int64_t i = ilo; bad && i <= ihi; i++) {  /* the last one, lanes then rows */
                 CELL
                 if (ptr < 0 || ptr > limit)
@@ -337,13 +336,11 @@ def cpu_signature() -> Optional[str]:
 
 def build_flags() -> Tuple[Tuple[str, ...], str]:
     """The flags objects are built with, and what ``repro info`` says of them."""
-    signature, arch = cpu_signature(), platform.machine()
-    if signature is None:
-        return FLAGS, "portable -O3 (no flags line in /proc/cpuinfo)"
-    if arch != "x86_64":
-        return FLAGS, f"portable -O3 ({arch}: its baseline ISA vectorises)"
+    signature = cpu_signature()
+    if signature is None or platform.machine() != "x86_64":
+        return FLAGS, "portable -O3 (not an x86-64 CPU with a flags line in /proc/cpuinfo)"
     digest = hashlib.sha256(signature.encode()).hexdigest()[:12]
-    return (*FLAGS, *CPU_FLAGS), f"for this CPU (cpuinfo flags {digest})"
+    return (*FLAGS, "-march=native"), f"for this CPU (cpuinfo flags {digest})"
 
 
 def _build(compiler: str, flags: Sequence[str], source: str, target: Path) -> None:

@@ -34,6 +34,7 @@ from repro.core.spec import EndRule, StartRule, TracebackSpec
 from repro.hdl_types import ApFixedType, ApIntType, Overflow, Rounding
 from repro.kernels import get_kernel
 from repro.kernels.common import affine_tb
+from repro.kernels.variants import make_score_only
 from repro.obs import MetricsRecorder, use_recorder
 from repro.systolic.engine import align
 from repro.systolic.schedule import count_wavefronts
@@ -330,6 +331,14 @@ class TestPointerWidth:
                     compiled_align(spec, *self.pairs[0], params=params, n_pe=32)
                 assert str(got.value) == str(want.value)
         both_loops(flagged, self.pairs)
+
+    def test_score_only_kernel_checks_no_pointer(self):
+        flagged = make_score_only(dataclasses.replace(
+            get_kernel(1), name="flagged", pe_func=_flagged_pe,
+            default_params=_FlagParams(),
+        ))
+        for flag in (-1, 100):  # out of range both ways, but never stored
+            both_loops(flagged, self.pairs, _FlagParams(flag=flag))
 
     def test_float_pointer_prints_like_numpy(self):
         flagged = dataclasses.replace(
@@ -632,8 +641,10 @@ class TestFuzzAndCli:
     def test_repro_info_says_why_objects_are_portable(self, capsys, monkeypatch):
         from repro.cli import main
 
-        monkeypatch.setattr(native, "cpu_signature", lambda: None)
-        assert main(["info"]) == 0
-        out = capsys.readouterr().out
-        assert "portable -O3 (no flags line in /proc/cpuinfo)" in out
-        assert "-O3" in out and "-march=native" not in out
+        for signature, machine in ((None, "x86_64"), ("fp asimd", "aarch64")):
+            monkeypatch.setattr(native, "cpu_signature", lambda s=signature: s)
+            monkeypatch.setattr(platform, "machine", lambda m=machine: m)
+            assert main(["info"]) == 0
+            out = capsys.readouterr().out
+            assert "portable -O3 (not an x86-64 CPU with a flags line" in out
+            assert "-O3" in out and "-march=native" not in out
