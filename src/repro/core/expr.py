@@ -83,10 +83,15 @@ def as_node(value: Any) -> Node:
     return const(value)
 
 
+def _closed(cls: type) -> None:
+    raise TypeError(f"{cls.__name__}: ExprValue and ExprTable are closed to subclassing")
+
+
 class ExprValue:
     """A symbolic scalar flowing through ``PE_func`` during expr tracing."""
 
     __slots__ = ("node",)
+    __init_subclass__ = classmethod(_closed)
 
     def __init__(self, node: Node):
         self.node = node
@@ -176,6 +181,7 @@ class ExprTable:
     """
 
     __slots__ = ("name", "shape", "indices")
+    __init_subclass__ = classmethod(_closed)
 
     def __init__(self, name: str, shape: Tuple[int, ...],
                  indices: Tuple[Any, ...] = ()):
@@ -201,6 +207,13 @@ class ExprTable:
         return ExprTable(self.name, self.shape, consumed)
 
 
+#: Closed to subclassing, so ``type(v) in EXPR_TYPES`` is an isinstance test.
+EXPR_TYPES = frozenset((ExprValue, ExprTable))
+
+
 def is_expr(*values: Any) -> bool:
     """Whether any operand is part of an expression trace."""
-    return any(isinstance(v, (ExprValue, ExprTable)) for v in values)
+    for value in values:
+        if type(value) in EXPR_TYPES:
+            return True
+    return False

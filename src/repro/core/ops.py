@@ -19,11 +19,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import expr as _expr
+from repro.core.expr import EXPR_TYPES
 
 
 def select(cond: Any, if_true: Any, if_false: Any) -> Any:
     """Hardware multiplexer: ``if_true`` when ``cond`` else ``if_false``."""
-    if _expr.is_expr(cond, if_true, if_false):
+    if (type(cond) in EXPR_TYPES or type(if_true) in EXPR_TYPES
+            or type(if_false) in EXPR_TYPES):
         return _expr.apply("where", cond, if_true, if_false)
     return if_true if cond else if_false
 
@@ -44,14 +46,14 @@ def vmin(*values: Any) -> Any:
 
 def vabs(value: Any) -> Any:
     """Absolute value (negate + multiplexer in hardware)."""
-    if isinstance(value, _expr.ExprValue):
+    if type(value) is _expr.ExprValue:
         return _expr.apply("abs", value)
     return abs(value)
 
 
 def eq(a: Any, b: Any) -> Any:
     """Symbol equality comparator (kernels must not use ``==`` on data)."""
-    if _expr.is_expr(a, b):
+    if type(a) in EXPR_TYPES or type(b) in EXPR_TYPES:
         return _expr.apply("eq", a, b)
     return a == b
 
@@ -60,10 +62,7 @@ def lookup(table: Any, *indices: Any) -> Any:
     """Index a parameter table (a ROM port per runtime index in hardware)."""
     result = table
     for index in indices:
-        # two isinstance checks, not is_expr(): this runs per engine cell
-        if isinstance(result, _expr.ExprTable) or isinstance(
-            index, _expr.ExprValue
-        ):
+        if type(result) is _expr.ExprTable or type(index) is _expr.ExprValue:
             result = result[index]
         else:
             result = result[int(index)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hdl_types.ap_int import ApIntType, Overflow
 
@@ -50,12 +51,12 @@ class ApFixedType:
         """Number of bits right of the binary point."""
         return self.width - self.int_width
 
-    @property
+    @cached_property
     def resolution(self) -> float:
         """The smallest representable increment."""
         return 2.0 ** -self.frac_bits
 
-    @property
+    @cached_property
     def _raw_type(self) -> ApIntType:
         return ApIntType(self.width, signed=self.signed, overflow=self.overflow)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Overflow(enum.Enum):
@@ -41,19 +42,15 @@ class ApIntType:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.signed and self.width < 2 and self.overflow is Overflow.SATURATE:
-            # A 1-bit signed saturating type can only hold {-1, 0}; allowed,
-            # but worth validating the range logic below never divides by 0.
-            pass
 
-    @property
+    @cached_property
     def min_value(self) -> int:
         """Smallest representable value."""
         if self.signed:
             return -(1 << (self.width - 1))
         return 0
 
-    @property
+    @cached_property
     def max_value(self) -> int:
         """Largest representable value."""
         if self.signed:
@@ -70,8 +67,9 @@ class ApIntType:
         Wrap mode reproduces two's-complement truncation to ``width`` bits;
         saturate mode clamps to the representable extremes.
         """
-        value = int(value)
-        if self.in_range(value):
+        if type(value) is not int:
+            value = int(value)
+        if self.min_value <= value <= self.max_value:
             return value
         if self.overflow is Overflow.SATURATE:
             return max(self.min_value, min(self.max_value, value))

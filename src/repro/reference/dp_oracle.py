@@ -42,18 +42,20 @@ def oracle_align(
     if params is None:
         params = spec.default_params
     n_layers = spec.n_layers
-    sentinel = spec.sentinel()
+    sentinel_row = (spec.sentinel(),) * n_layers
     banding = spec.banding
     quantize = spec.score_type.quantize
+    row0 = spec.init_row_scores(params, n_cols + 1)
+    col0 = spec.init_col_scores(params, n_rows + 1)
 
-    scores = np.full((n_layers, n_rows + 1, n_cols + 1), sentinel)
-    scores[:, 0, :] = spec.init_row_scores(params, n_cols + 1).T
-    scores[:, :, 0] = spec.init_col_scores(params, n_rows + 1).T
+    matrix: Optional[np.ndarray] = None
+    if collect_matrix:
+        matrix = np.full((n_layers, n_rows + 1, n_cols + 1), sentinel_row[0])
+        matrix[:, 0, :] = row0.T
+        matrix[:, :, 0] = col0.T
     ptrs = np.zeros((n_rows + 1, n_cols + 1), dtype=np.int64)
 
-    cell = PEInput(
-        up=(), diag=(), left=(), qry=None, ref=None, params=params
-    )
+    cell = PEInput(up=(), diag=(), left=(), qry=None, ref=None, params=params)
     best: Optional[Tuple[float, int, int]] = None
 
     def eligible(i: int, j: int) -> bool:
@@ -66,30 +68,36 @@ def oracle_align(
             return i == n_rows
         return i == n_rows or j == n_cols
 
-    def neighbour(i: int, j: int) -> Tuple[float, ...]:
-        if banding is not None and not band_contains(banding, i, j):
-            return (sentinel,) * n_layers
-        return tuple(scores[layer, i, j] for layer in range(n_layers))
+    def boundary(i: int, j: int, init: np.ndarray) -> Tuple[float, ...]:
+        return tuple(init) if band_contains(banding, i, j) else sentinel_row
 
+    # What a neighbour read sees, as the engine's registers hold it: a
+    # computed cell's quantized output, the init arrays' values on row and
+    # column 0, the sentinel outside the band.  Two rows live at a time.
+    above = [boundary(0, j, col0[0] if j == 0 else row0[j])
+             for j in range(n_cols + 1)]
     for i in range(1, n_rows + 1):
+        row = [sentinel_row] * (n_cols + 1)
+        row[0] = boundary(i, 0, col0[i])
         for j in range(1, n_cols + 1):
             if not band_contains(banding, i, j):
                 continue
-            cell.up = neighbour(i - 1, j)
-            cell.diag = neighbour(i - 1, j - 1)
-            cell.left = neighbour(i, j - 1)
+            cell.up = above[j]
+            cell.diag = above[j - 1]
+            cell.left = row[j - 1]
             cell.qry = query[i - 1]
             cell.ref = reference[j - 1]
             out, ptr = spec.pe_func(cell)
-            out = tuple(quantize(s) for s in out)
-            for layer in range(n_layers):
-                scores[layer, i, j] = out[layer]
+            row[j] = out = tuple(map(quantize, out))
+            if matrix is not None:
+                matrix[:, i, j] = out
             ptrs[i, j] = ptr
             if eligible(i, j):
                 value = out[spec.score_layer]
                 if best is None or spec.better(value, best[0]):
                     best = (value, i, j)
                 # Row-major scan order already yields smallest-(i, j) ties.
+        above = row
 
     if best is None:
         raise ValueError(
@@ -111,5 +119,5 @@ def oracle_align(
         end=end,
         alignment=alignment,
         cycles=None,
-        matrix=scores if collect_matrix else None,
+        matrix=matrix,
     )

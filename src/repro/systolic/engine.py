@@ -242,7 +242,7 @@ def _simulate(
                     cell.ref = reference[j - 1]
                     scores, ptr = pe_func(cell)
                     cells_evaluated += 1
-                    out = tuple(quantize(s) for s in scores)
+                    out = tuple(map(quantize, scores))
                     tracker.observe(p, i, j, out[score_layer])
                     if tb_mem is not None:
                         tb_mem.write(p, addr_base + w, ptr)

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.spec import KernelSpec
 from repro.parallel import ParallelExecutor
 from repro.reference.dp_oracle import oracle_align
@@ -87,7 +85,7 @@ def _check_pair(
     for n_pe in n_pe_values:
         runs += 1
         actual = align_fn(spec, query, reference, n_pe=n_pe)
-        if not np.isclose(actual.score, expected.score):
+        if actual.score != expected.score:
             failures.append(
                 VerificationFailure(
                     "score", n_pe, index,

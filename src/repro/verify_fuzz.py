@@ -12,8 +12,9 @@ implementations —
 * the textbook reference (:func:`repro.reference.dispatch.classic_score`),
 
 and any disagreement on score, traceback start cell or move sequence is
-recorded.  Engine-vs-oracle checks use score tolerance where the
-references are float-based; the systolic-vs-compiled leg is *strict*
+recorded.  Only the oracle-vs-textbook check has a score tolerance,
+because the textbook references are float-based; the engine-vs-oracle
+score is compared exactly, and the systolic-vs-compiled leg is *strict*
 bit-identity — any divergence is reported as a ``backend_*`` failure
 whose detail is the full three-way disagreement triple
 (``systolic=... compiled=... oracle=...``).  A fifth leg re-runs every
@@ -296,7 +297,7 @@ def case_failures(
         ))
         return failures
 
-    if not np.isclose(actual.score, expected.score):
+    if actual.score != expected.score:
         failures.append(FuzzFailure(
             "engine_score",
             f"systolic {actual.score} != oracle {expected.score}",

@@ -8,8 +8,11 @@ a failure reproduces exactly; widening the sweep means bumping N_SAMPLES,
 not changing seeds.
 """
 
+import dataclasses
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.hdl_types import ApFixedType, ApIntType, Overflow, Rounding
@@ -167,3 +170,80 @@ class TestApFixed:
             ApFixedType(0, 0)
         with pytest.raises(ValueError):
             ApFixedType(8, 9)
+
+
+def _reference_quantize(t, value):
+    """``ApIntType.quantize`` as first written: ``int()``, then wrap or clamp."""
+    value = int(value)
+    lo = -(1 << (t.width - 1)) if t.signed else 0
+    hi = (1 << (t.width - 1)) - 1 if t.signed else (1 << t.width) - 1
+    if lo <= value <= hi:
+        return value
+    if t.overflow is Overflow.SATURATE:
+        return max(lo, min(hi, value))
+    wrapped = value & ((1 << t.width) - 1)
+    if t.signed and wrapped >= (1 << (t.width - 1)):
+        wrapped -= 1 << t.width
+    return wrapped
+
+
+def _int_types():
+    for width in range(1, 65):
+        for signed in (True, False):
+            for overflow in Overflow:
+                yield ApIntType(width, signed=signed, overflow=overflow)
+
+
+class TestApIntQuantizeFastPath:
+    """The cached bounds and the ``int`` fast path change no result."""
+
+    def test_quantize_equals_reference_formula_for_every_operand_type(self):
+        for t in _int_types():
+            lo, hi = t.min_value, t.max_value
+            far = (hi - lo + 1) * 7 + 3
+            for point in (lo - 1, lo, hi, hi + 1, lo - far, hi + far, 0):
+                values = [point, float(point), np.float64(point),
+                          float(point) + 0.5, float(point) - 0.5]
+                if -(1 << 63) <= point < (1 << 63):
+                    values.append(np.int64(point))
+                if point in (0, 1):
+                    values += [bool(point), np.bool_(point)]
+                for value in values:
+                    got, want = t.quantize(value), _reference_quantize(t, value)
+                    assert type(got) is int and got == want, (t, value)
+
+    @pytest.mark.parametrize("make, other", [
+        (lambda: ApIntType(12, signed=False, overflow=Overflow.SATURATE),
+         "ApIntType(width=12, signed=False, "
+         "overflow=<Overflow.SATURATE: 'saturate'>)"),
+        (lambda: ApFixedType(28, 16, rounding=Rounding.TRUNCATE),
+         "ApFixedType(width=28, int_width=16, signed=True, "
+         "overflow=<Overflow.SATURATE: 'saturate'>, "
+         "rounding=<Rounding.TRUNCATE: 'trunc'>)"),
+    ])
+    def test_eq_hash_repr_and_pickle_ignore_the_cache(self, make, other):
+        warm, cold = make(), make()
+        warm.quantize(3.75)  # fills the cached bounds of ``warm`` only
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == other
+        for original in (warm, cold):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert repr(copy) == other
+            assert copy.quantize(1e9) == original.quantize(1e9)
+
+    def test_replace_recomputes_the_cached_bounds(self):
+        narrow = ApIntType(8)
+        assert (narrow.min_value, narrow.max_value) == (-128, 127)
+        wide = dataclasses.replace(narrow, width=12)
+        assert (wide.min_value, wide.max_value) == (-2048, 2047)
+        assert wide.quantize(300) == 300 and narrow.quantize(300) == 44
+        unsigned = dataclasses.replace(narrow, signed=False)
+        assert (unsigned.min_value, unsigned.max_value) == (0, 255)
+
+        fixed = ApFixedType(16, 8)
+        assert (fixed.resolution, fixed.max_value) == (2.0 ** -8, 127.99609375)
+        finer = dataclasses.replace(fixed, width=20)
+        assert finer.resolution == 2.0 ** -12
+        assert finer.max_value == 127.999755859375
+        assert finer.quantize(1 / 3) == round((1 / 3) * 4096) / 4096

@@ -74,6 +74,18 @@ class TestChecks:
         assert "synthetic engine crash" in failures[0].detail
 
 
+    def test_a_relative_score_error_of_one_in_a_million_is_reported(self):
+        """The engine-vs-oracle score check is exact, not ``np.isclose``."""
+        def drifting(*args, **kwargs):
+            result = align(*args, **kwargs)
+            return dataclasses.replace(result, score=result.score * (1 + 1e-6))
+
+        case = generate_case(1, 3, max_len=16)
+        assert drifting(get_kernel(1), case.query, case.reference).score != 0
+        failures = case_failures(case, align_fn=drifting)
+        assert [f.check for f in failures] == ["engine_score"]
+
+
 def _buggy_align(spec, query, reference, **kwargs):
     """A fault-injected engine: misscore whenever the query has >= 3 symbols."""
     result = align(spec, query, reference, **kwargs)

@@ -77,6 +77,24 @@ class TestVerifyKernel:
         assert failure.check == "score"
         assert failure.detail.startswith("compiled "), failure.detail
 
+    def test_a_relative_score_error_of_one_in_a_million_is_reported(
+        self, monkeypatch
+    ):
+        """The engine-vs-oracle score check is exact, not ``np.isclose``."""
+        import repro.backend
+
+        real = repro.backend.BACKENDS["systolic"]
+
+        def drifting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return replace(result, score=result.score * (1 + 1e-6))
+
+        monkeypatch.setitem(repro.backend.BACKENDS, "systolic", drifting)
+        pairs = small_pairs(1, n=1)
+        assert real(get_kernel(1), *pairs[0], n_pe=4).score != 0
+        report = verify_kernel(get_kernel(1), pairs, n_pe_values=(4,))
+        assert [f.check for f in report.failures] == ["score"]
+
     def test_all_kernels_verify_quickly(self):
         """One tiny pair per kernel through the harness."""
         for kid in sorted(KERNELS):
