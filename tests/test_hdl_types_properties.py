@@ -173,7 +173,7 @@ class TestApFixed:
 
 
 def _reference_quantize(t, value):
-    """``ApIntType.quantize`` as first written: ``int()``, then wrap or clamp."""
+    """The reference formula: ``int()``, then wrap or clamp to the width."""
     value = int(value)
     lo = -(1 << (t.width - 1)) if t.signed else 0
     hi = (1 << (t.width - 1)) - 1 if t.signed else (1 << t.width) - 1
@@ -220,7 +220,7 @@ class TestApIntQuantizeFastPath:
          "ApFixedType(width=28, int_width=16, signed=True, "
          "overflow=<Overflow.SATURATE: 'saturate'>, "
          "rounding=<Rounding.TRUNCATE: 'trunc'>)"),
-    ])
+    ], ids=("ap_uint", "ap_fixed"))
     def test_eq_hash_repr_and_pickle_ignore_the_cache(self, make, other):
         warm, cold = make(), make()
         warm.quantize(3.75)  # fills the cached bounds of ``warm`` only

@@ -24,7 +24,8 @@ def test_expression_classes_are_closed_to_subclassing(base):
     assert EXPR_TYPES == {ExprValue, ExprTable}
 
 
-@pytest.mark.parametrize("kind", PLAIN, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("kind", PLAIN, ids=(
+    "int", "float", "bool", "np.int64", "np.float64", "np.bool_"))
 def test_plain_operands_take_the_plain_path(kind):
     one, zero = kind(1), kind(0)
     assert not is_expr(one, zero)
